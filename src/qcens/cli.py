@@ -27,17 +27,6 @@ def _require_file(path: str) -> Path:
     return p
 
 
-def _atomic_write(path: str, write_fn) -> None:
-    """Write through a temp file so failures leave no partial output."""
-    tmp = Path(str(path) + ".tmp")
-    try:
-        write_fn(tmp)
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-
-
 def cmd_evolve(args) -> int:
     config = ser.read_config(_require_file(args.config))
     if args.seed is not None:
@@ -51,7 +40,7 @@ def cmd_evolve(args) -> int:
     tests = ser.read_test_cases(_require_file(args.tests))
     noise = resolve_noise(args.noise)
     population = evolve(config, tests, noise=noise, log=print)
-    _atomic_write(args.population, lambda p: ser.write_population(population, p))
+    ser.write_population(population, args.population)
     return 0
 
 
@@ -79,9 +68,9 @@ def cmd_compare(args) -> int:
         if path.is_file():
             rows = ser.result_rows_from_csv(path.read_text())
             rows.append(row)
-            _atomic_write(path, lambda p: p.write_text(ser.result_rows_to_csv(rows)))
+            ser.write_atomic(path, ser.result_rows_to_csv(rows))
         else:
-            _atomic_write(path, lambda p: p.write_text(output))
+            ser.write_atomic(path, output)
     print(output, end="")
     return 0
 
@@ -90,9 +79,9 @@ def cmd_report(args) -> int:
     rows = ser.result_rows_from_csv(_require_file(args.rows).read_text())
     # ideal first, then noise backends in file order
     rows.sort(key=lambda r: (r.backend_name != "ideal",))
-    _atomic_write(args.out_csv, lambda p: p.write_text(ser.result_rows_to_csv(rows)))
+    ser.write_atomic(args.out_csv, ser.result_rows_to_csv(rows))
     table = ser.result_table_text(rows)
-    _atomic_write(args.out_table, lambda p: p.write_text(table))
+    ser.write_atomic(args.out_table, table)
     print(table, end="")
     return 0
 
@@ -107,10 +96,10 @@ def cmd_encode_dataset(args) -> int:
         evo, eva = split(cases, args.n_evolution, args.seed or 0,
                          stratified=args.stratified,
                          labels=[e.class_label for e in dataset])
-        _atomic_write(args.evolution_out, lambda p: ser.write_test_cases(evo, p))
-        _atomic_write(args.evaluation_out, lambda p: ser.write_test_cases(eva, p))
+        ser.write_test_cases(evo, args.evolution_out)
+        ser.write_test_cases(eva, args.evaluation_out)
     else:
-        _atomic_write(args.output, lambda p: ser.write_test_cases(cases, p))
+        ser.write_test_cases(cases, args.output)
     return 0
 
 

@@ -1,10 +1,12 @@
 """Ensemble semantics: plurality voting and fitness evaluation.
 
 An ensemble's output value is the most frequent among its member circuits'
-outputs; ties are split uniformly at random among the tied values.  Because
-members are independent, the ensemble's exact output distribution follows
-from enumerating all joint member outcomes.  Fitness is the mean probability
-of producing the expected output value over a set of test cases.
+outputs; ties are split uniformly at random among the tied values.  The vote
+depends only on how many members output each value, and members are
+independent, so the exact output distribution follows from a dynamic program
+over member-value count vectors: C(n+k-1, k-1) states for n members and k
+values, rather than k**n joint outcomes.  Fitness is the mean probability of
+producing the expected output value over a set of test cases.
 """
 
 from __future__ import annotations
@@ -18,10 +20,6 @@ from .circuits import Circuit
 from .errors import StructuralError, ValidationError
 from .noise import NoiseModel, run_noisy
 from .statevector import run_ideal, sample_shots, state_from_angles, evolve_state, zero_state
-
-# beyond this many joint outcomes, vote_distribution falls back to Monte Carlo
-EXACT_VOTE_LIMIT = 10**6
-MC_VOTE_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -99,47 +97,42 @@ class FitnessReport:
 
 
 @lru_cache(maxsize=None)
-def vote_matrix(k: int, n: int) -> np.ndarray:
-    """(k**n, k) matrix mapping each joint member outcome to its vote split.
+def _count_tables(k: int, n: int) -> tuple[tuple, np.ndarray]:
+    """Tables of the count-vector DP for n members over k output values.
 
-    Row j corresponds to the joint outcome whose base-k digits are the member
-    values; the row puts 1/|W| on each value in the set W of plurality winners.
+    Count vectors start as the k unit vectors of the first member's value.
+    Each later member step has one ``target`` array that maps the pair (count
+    vector, next value), flattened, to the index of the grown count vector.
+    The final (states, k) matrix puts 1/|W| on each value in the set W of
+    plurality winners of a count vector.
     """
-    outcomes = (np.arange(k**n)[:, None] // k ** np.arange(n)[None, :]) % k
-    counts = (outcomes[:, :, None] == np.arange(k)[None, None, :]).sum(axis=1)
+    steps = []
+    counts = np.eye(k, dtype=np.int64)
+    for _ in range(n - 1):
+        grown = (counts[:, None, :] + np.eye(k, dtype=np.int64)).reshape(-1, k)
+        counts, target = np.unique(grown, axis=0, return_inverse=True)
+        steps.append((target.ravel(), len(counts)))
     winners = counts == counts.max(axis=1, keepdims=True)
-    return winners / winners.sum(axis=1, keepdims=True)
+    return tuple(steps), winners / winners.sum(axis=1, keepdims=True)
 
 
-def _vote_exact_batch(member_dists: np.ndarray) -> np.ndarray:
+def _vote_batch(member_dists: np.ndarray) -> np.ndarray:
     """Exact vote over dists of shape (n_members, batch, k) -> (batch, k)."""
     n, batch, k = member_dists.shape
-    joint = member_dists[0]
-    for m in range(1, n):
-        joint = (joint[:, :, None] * member_dists[m][:, None, :]).reshape(batch, -1)
-    return joint @ vote_matrix(k, n)
+    steps, split = _count_tables(k, n)
+    prob = member_dists[0]  # P(count vector) over the members seen so far
+    for dist, (target, states) in zip(member_dists[1:], steps):
+        joint = prob[:, :, None] * dist[:, None, :]
+        index = target + states * np.arange(batch)[:, None]
+        prob = np.bincount(index.ravel(), weights=joint.ravel(),
+                           minlength=batch * states).reshape(batch, states)
+    return prob @ split
 
 
-def _vote_monte_carlo(member_dists: np.ndarray, samples: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Empirical vote distribution from sampled joint outcomes, (n, k) -> (k,)."""
-    n, k = member_dists.shape
-    draws = np.empty((samples, n), dtype=np.int64)
-    for m in range(n):
-        draws[:, m] = rng.choice(k, size=samples, p=member_dists[m] / member_dists[m].sum())
-    counts = (draws[:, :, None] == np.arange(k)[None, None, :]).sum(axis=1)
-    winners = counts == counts.max(axis=1, keepdims=True)
-    split = winners / winners.sum(axis=1, keepdims=True)
-    return split.sum(axis=0) / samples
-
-
-def vote_distribution(member_dists, rng: np.random.Generator | None = None,
-                      mc_samples: int = MC_VOTE_SAMPLES) -> np.ndarray:
+def vote_distribution(member_dists) -> np.ndarray:
     """Ensemble output distribution under plurality voting with uniform ties.
 
-    Exact when the joint-outcome count k**n is tractable; otherwise falls back
-    to Monte Carlo over ``mc_samples`` joint votes (seeded ``rng`` required for
-    reproducibility; a fixed default stream is used when omitted).
+    Exact for any ensemble size: a DP over member-value count vectors.
     """
     dists = [np.asarray(d, dtype=np.float64) for d in member_dists]
     if not dists:
@@ -148,13 +141,7 @@ def vote_distribution(member_dists, rng: np.random.Generator | None = None,
     for d in dists:
         if d.shape != (k,):
             raise StructuralError("member distributions must share one output domain")
-    stacked = np.stack(dists)
-    n = len(dists)
-    if k**n <= EXACT_VOTE_LIMIT:
-        return _vote_exact_batch(stacked[:, None, :])[0]
-    if rng is None:
-        rng = np.random.default_rng(0)
-    return _vote_monte_carlo(stacked, mc_samples, rng)
+    return _vote_batch(np.stack(dists)[:, None, :])[0]
 
 
 def replicate_homogeneous(circuit: Circuit, n: int) -> Ensemble:
@@ -188,6 +175,7 @@ class Evaluator:
         self.seed = seed
         self._init_states: np.ndarray | None = None
         self._expected: np.ndarray = np.array([t.expected for t in self.tests])
+        self._max_expected = int(self._expected.max())
         self._dist_cache: dict[Circuit, np.ndarray] = {}
 
     def _states_for(self, num_qubits: int) -> np.ndarray:
@@ -217,30 +205,20 @@ class Evaluator:
 
     def ensemble_fitness(self, ensemble: Ensemble) -> FitnessReport:
         k = ensemble.circuits[0].num_output_values
-        for t, case in enumerate(self.tests):
-            if case.expected >= k:
-                raise ValidationError(
-                    f"test {t} expects value {case.expected}, "
-                    f"but circuits output only {k} values"
-                )
+        if self._max_expected >= k:
+            t = int(np.argmax(self._expected >= k))
+            raise ValidationError(
+                f"test {t} expects value {self._expected[t]}, "
+                f"but circuits output only {k} values"
+            )
         member_dists = np.stack(
             [self.member_distributions(c) for c in ensemble.circuits]
         )
         if self.shots is not None:
             member_dists = self._degrade_to_shots(member_dists)
-        n = len(ensemble)
-        if k**n <= EXACT_VOTE_LIMIT:
-            vote = _vote_exact_batch(member_dists)
-        else:
-            vote = np.stack([
-                _vote_monte_carlo(
-                    member_dists[:, t, :], MC_VOTE_SAMPLES,
-                    np.random.default_rng(np.random.SeedSequence((self.seed, t))),
-                )
-                for t in range(len(self.tests))
-            ])
+        vote = _vote_batch(member_dists)
         per_test = vote[np.arange(len(self.tests)), self._expected]
-        return FitnessReport(float(per_test.mean()), tuple(float(p) for p in per_test))
+        return FitnessReport(float(per_test.mean()), tuple(per_test.tolist()))
 
     def _degrade_to_shots(self, member_dists: np.ndarray) -> np.ndarray:
         n, num_tests, _ = member_dists.shape

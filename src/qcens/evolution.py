@@ -19,6 +19,11 @@ from .errors import StructuralError, ValidationError
 from .noise import NoiseModel
 
 TWO_PI = 2.0 * math.pi
+# Selection compares fitness rounded to this many decimals.  Fitnesses that are
+# equal in exact arithmetic but differ in their last bits, by the summation
+# order of the vote or the simulation, then tie, and ties go to the lower
+# index, so the evolved population does not depend on that order.
+SELECTION_DECIMALS = 12
 
 
 @dataclass(frozen=True)
@@ -194,7 +199,7 @@ def evolve(config: EvolutionConfig, evolution_tests,
     _log_generation(log, 0, reports)
     elite_count = math.ceil(config.elite_fraction * config.population_size)
     for generation in range(1, config.generations + 1):
-        fitnesses = [r.fitness for r in reports]
+        fitnesses = [round(r.fitness, SELECTION_DECIMALS) for r in reports]
         order = sorted(range(len(individuals)), key=lambda i: (-fitnesses[i], i))
         offspring = [individuals[i] for i in order[:elite_count]]
         while len(offspring) < config.population_size:

@@ -19,8 +19,10 @@ from .errors import ValidationError
 from .evolution import EvolutionConfig, Population, evolve
 from .iris import EncodingSpec, bundled_dataset_path, encode_all, load_dataset, split
 from .noise import NoiseModel
-from .noisefiles import load_preset, preset_names
-from .serialization import ResultRow, result_rows_to_csv, result_table_text, write_population
+from .noisefiles import load_preset
+from .serialization import (
+    ResultRow, result_rows_to_csv, result_table_text, write_atomic, write_population,
+)
 from .stats import mann_whitney, median
 
 
@@ -119,10 +121,6 @@ def run_experiment(plan: ExperimentPlan, log=None) -> ExperimentResult:
                 populations[size], hom_base, size, evaluation_tests, noise=noise
             ))
     if rows:
-        (out_dir / f"results_seed{plan.seed}.csv").write_text(result_rows_to_csv(rows))
-        (out_dir / f"results_seed{plan.seed}.txt").write_text(result_table_text(rows))
+        write_atomic(out_dir / f"results_seed{plan.seed}.csv", result_rows_to_csv(rows))
+        write_atomic(out_dir / f"results_seed{plan.seed}.txt", result_table_text(rows))
     return ExperimentResult(populations, rows, evolution_tests, evaluation_tests)
-
-
-def all_preset_names() -> list[str]:
-    return preset_names()

@@ -11,7 +11,7 @@ batches independent states.
 
 from __future__ import annotations
 
-import string
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +20,6 @@ from .circuits import Circuit, CXGate, UGate
 from .errors import StructuralError, ValidationError
 from .statevector import (
     _cx_permutation,
-    _pair_indices,
     marginal_distribution,
     u_matrix,
     zero_state,
@@ -68,28 +67,21 @@ def _num_qubits_of_rho(rho: np.ndarray) -> int:
     return n
 
 
-def _apply_u_rho(rho: np.ndarray, target: int, theta: float, phi: float, lam: float) -> np.ndarray:
+def _apply_u_rho(rho: np.ndarray, target: int, theta: float, phi: float, lam: float,
+                 spare: np.ndarray, half: np.ndarray) -> None:
+    """rho <- U rho U^dagger in place; ``spare`` and ``half`` are scratch."""
     n = _num_qubits_of_rho(rho)
     mat = u_matrix(theta, phi, lam)
-    i0, i1 = _pair_indices(n, target)
-    out = np.empty_like(rho)
-    a = rho[..., i0, :]
-    b = rho[..., i1, :]
-    out[..., i0, :] = mat[0, 0] * a + mat[0, 1] * b
-    out[..., i1, :] = mat[1, 0] * a + mat[1, 1] * b
-    final = np.empty_like(out)
-    cmat = np.conj(mat)
-    a = out[..., :, i0]
-    b = out[..., :, i1]
-    final[..., :, i0] = cmat[0, 0] * a + cmat[0, 1] * b
-    final[..., :, i1] = cmat[1, 0] * a + cmat[1, 1] * b
-    return final
-
-
-def _apply_cx_rho(rho: np.ndarray, control: int, target: int) -> np.ndarray:
-    n = _num_qubits_of_rho(rho)
-    perm = _cx_permutation(n, control, target)
-    return rho[..., perm, :][..., :, perm]
+    batch, hi, lo, dim = rho.shape[:-2], 1 << (n - 1 - target), 1 << target, 1 << n
+    # U acts on the target bit of the row index, then conj(U) on that of the column
+    for src, dst, shape, m in ((rho, spare, (hi, 2, lo * dim), mat),
+                               (spare, rho, (dim * hi, 2, lo), np.conj(mat))):
+        src, dst = src.reshape(batch + shape), dst.reshape(batch + shape)
+        scratch = half.reshape(dst[..., 0, :].shape)
+        for i in (0, 1):
+            np.multiply(src[..., 0, :], m[i, 0], out=dst[..., i, :])
+            np.multiply(src[..., 1, :], m[i, 1], out=scratch)
+            dst[..., i, :] += scratch
 
 
 def depolarize(rho: np.ndarray, qubits, p: float) -> np.ndarray:
@@ -109,34 +101,29 @@ def depolarize(rho: np.ndarray, qubits, p: float) -> np.ndarray:
             raise StructuralError(f"depolarize qubit {q} out of range for {n} qubits")
     if p == 0.0 or not qubits:
         return rho
-    mixed = _trace_out_and_mix(rho, n, qubits)
-    if p == 1.0:
-        return mixed
-    return (1.0 - p) * rho + p * mixed
+    out = rho.copy()
+    _depolarize_in_place(out, n, qubits, p)
+    return out
 
 
-def _trace_out_and_mix(rho: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarray:
-    """Replace the listed qubits by the maximally mixed state."""
-    batch_shape = rho.shape[:-2]
-    tensor = rho.reshape(batch_shape + (2,) * (2 * n))
-    letters = iter(string.ascii_lowercase)
-    row = {q: next(letters) for q in range(n)}
-    col = {q: (row[q] if q in qubits else next(letters)) for q in range(n)}
-    out_row = dict(row)
-    out_col = dict(col)
-    operands = [tensor]
-    subs = ["..." + "".join(row[q] for q in reversed(range(n)))
-            + "".join(col[q] for q in reversed(range(n)))]
-    eye_half = np.eye(2) / 2.0
-    for q in qubits:
-        r, c = next(letters), next(letters)
-        out_row[q], out_col[q] = r, c
-        operands.append(eye_half)
-        subs.append(r + c)
-    out_sub = ("..." + "".join(out_row[q] for q in reversed(range(n)))
-               + "".join(out_col[q] for q in reversed(range(n))))
-    result = np.einsum(",".join(subs) + "->" + out_sub, *operands)
-    return result.reshape(batch_shape + (1 << n, 1 << n))
+def _depolarize_in_place(rho: np.ndarray, n: int, qubits: tuple[int, ...], p: float) -> None:
+    """rho <- (1 - p) * rho + p * (I / 2**m on the m qubits, tensor their partial trace).
+
+    The mixed part is nonzero only on the blocks whose row and column agree on
+    the listed qubits, where it equals their mean, so it is added in place.
+    """
+    tensor = rho.reshape(rho.shape[:-2] + (2,) * (2 * n))
+    nb = rho.ndim - 2
+    blocks = []
+    for bits in itertools.product((0, 1), repeat=len(qubits)):
+        index = [slice(None)] * tensor.ndim
+        for q, bit in zip(qubits, bits):  # row axis of qubit q, then its column axis
+            index[nb + n - 1 - q] = index[nb + 2 * n - 1 - q] = slice(bit, bit + 1)
+        blocks.append(tensor[tuple(index)])
+    mixed = sum(blocks) * (p / len(blocks))
+    rho *= 1.0 - p
+    for block in blocks:
+        block += mixed
 
 
 def apply_readout_error(dist: np.ndarray, flip_0to1: float, flip_1to0: float) -> np.ndarray:
@@ -181,15 +168,23 @@ def run_noisy(circuit: Circuit, init: np.ndarray | None = None,
             f"{circuit.num_qubits}-qubit circuit"
         )
     rho = density_from_state(np.asarray(init, dtype=np.complex128))
+    # gates update rho in place, with these two buffers as scratch: full-size
+    # temporaries per gate would make the allocator return and re-fault memory
+    spare = np.empty_like(rho)
+    half = np.empty(rho.size // 2, dtype=rho.dtype)
     for gate in circuit.gates:
         if isinstance(gate, UGate):
-            rho = _apply_u_rho(rho, gate.target, gate.theta, gate.phi, gate.lam)
-            rho = depolarize(rho, (gate.target,), noise.p1)
+            _apply_u_rho(rho, gate.target, gate.theta, gate.phi, gate.lam, spare, half)
+            qubits, p = (gate.target,), noise.p1
         elif isinstance(gate, CXGate):
-            rho = _apply_cx_rho(rho, gate.control, gate.target)
-            rho = depolarize(rho, (gate.control, gate.target), noise.p2)
+            perm = _cx_permutation(circuit.num_qubits, gate.control, gate.target)
+            np.take(rho, perm, axis=-2, out=spare)
+            np.take(spare, perm, axis=-1, out=rho)
+            qubits, p = (gate.control, gate.target), noise.p2
         else:
             raise StructuralError(f"unknown gate type: {type(gate).__name__}")
+        if p:
+            _depolarize_in_place(rho, circuit.num_qubits, qubits, p)
     probs = np.real(np.einsum("...ii->...i", rho))
     dist = marginal_distribution(probs, circuit.num_qubits, circuit.measured_qubits)
     return apply_readout_error(dist, noise.readout_flip_0to1, noise.readout_flip_1to0)

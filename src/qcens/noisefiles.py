@@ -13,6 +13,7 @@ from pathlib import Path
 
 from .errors import ParseError, ValidationError
 from .noise import NoiseModel
+from .serialization import write_atomic
 
 _FLOAT_KEYS = ("p1", "p2", "readout_flip_0to1", "readout_flip_1to0")
 
@@ -43,7 +44,7 @@ def write_noise_config(model: NoiseModel, path) -> None:
     lines = [f"name = {model.name}"]
     for key in _FLOAT_KEYS:
         lines.append(f"{key} = {getattr(model, key)!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def load_noise_file(path) -> NoiseModel:

@@ -22,6 +22,21 @@ from .evolution import EvolutionConfig, Population
 POPULATION_FORMAT = "qcens-population-v1"
 
 
+def write_atomic(path, text: str) -> None:
+    """Write ``text`` through a temp file so failures leave no partial output.
+
+    Every writer in the package goes through here.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # --- gates and circuits ---
 
 def gate_to_obj(gate: Gate) -> dict:
@@ -79,9 +94,7 @@ def test_case_from_obj(obj: dict) -> TestCase:
 
 
 def write_test_cases(cases, path) -> None:
-    with Path(path).open("w") as handle:
-        for case in cases:
-            handle.write(_dumps(test_case_to_obj(case)) + "\n")
+    write_atomic(path, "".join(_dumps(test_case_to_obj(c)) + "\n" for c in cases))
 
 
 def read_test_cases(path) -> list[TestCase]:
@@ -147,7 +160,7 @@ def parse_eval_mode(mode: str) -> int | None:
 
 
 def write_config(config: EvolutionConfig, path) -> None:
-    Path(path).write_text(_dumps(config_to_obj(config), indent=2) + "\n")
+    write_atomic(path, _dumps(config_to_obj(config), indent=2) + "\n")
 
 
 def read_config(path) -> EvolutionConfig:
@@ -194,7 +207,7 @@ def population_from_obj(obj: dict) -> Population:
 
 
 def write_population(population: Population, path) -> None:
-    Path(path).write_text(_dumps(population_to_obj(population)) + "\n")
+    write_atomic(path, _dumps(population_to_obj(population)) + "\n")
 
 
 def read_population(path) -> Population:

@@ -14,9 +14,13 @@ from qcens import (
     mutate,
     random_circuit,
 )
+import qcens.ensemble as ensemble
 from qcens.ensemble import TestCase
 from qcens.evolution import random_ensemble
+from qcens.iris import EncodingSpec, bundled_dataset_path, encode_all, load_dataset, split
 from qcens.serialization import population_to_obj
+
+from test_vote import enumeration_vote_oracle
 
 
 def small_config(**kw):
@@ -189,3 +193,15 @@ def test_shots_mode_evolution_is_deterministic():
     a = evolve(config, TRIVIAL_TEST)
     b = evolve(config, TRIVIAL_TEST)
     assert population_to_obj(a) == population_to_obj(b)
+
+
+def test_population_does_not_depend_on_vote_summation_order(monkeypatch):
+    """The DP and the k**n enumeration differ in the last bits, not in selection."""
+    dataset = load_dataset(bundled_dataset_path())
+    tests, _ = split(encode_all(dataset, EncodingSpec.from_examples(dataset)), 100, 0)
+    config = EvolutionConfig(num_qubits=4, measured_qubits=(0, 1), population_size=20,
+                             generations=30, ensemble_size=5, seed=0)
+    by_dp = evolve(config, tests)
+    monkeypatch.setattr(ensemble, "_vote_batch", enumeration_vote_oracle)
+    by_enumeration = evolve(config, tests)
+    assert by_dp.individuals == by_enumeration.individuals

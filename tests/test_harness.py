@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 import qcens.harness as harness
@@ -75,6 +77,26 @@ def test_protocol_uses_correct_test_sets(tmp_path, monkeypatch):
     run_experiment(small_plan(tmp_path))
     assert seen["evolve"] == [100, 100]
     assert seen["compare"] == [50]
+
+
+@pytest.mark.parametrize("failing", ["population_n3_seed5.json", "results_seed5.csv"])
+def test_interrupted_write_leaves_no_partial_file(tmp_path, monkeypatch, failing):
+    """A write that dies halfway leaves neither the target nor a temp file."""
+    real_write_text = Path.write_text
+
+    def half_write_text(self, data, *args, **kwargs):
+        if self.name.startswith(failing):
+            real_write_text(self, data[:len(data) // 2], *args, **kwargs)
+            raise OSError("disk full")
+        return real_write_text(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", half_write_text)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(small_plan(tmp_path))
+    out = tmp_path / "out"
+    assert not (out / failing).exists()
+    assert not list(out.glob("*.tmp"))
+    assert (out / "population_n1_seed5.json").is_file()  # written before the failure
 
 
 def test_compare_rejects_wrong_baseline_sizes(tmp_path):

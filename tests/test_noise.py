@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcens import Circuit, NoiseModel, UGate, ValidationError, ZERO_NOISE
 from qcens.ensemble import Ensemble, TestCase, ensemble_fitness
@@ -19,7 +21,7 @@ from qcens.noisefiles import (
     resolve_noise,
     write_noise_config,
 )
-from qcens.statevector import run_ideal, zero_state
+from qcens.statevector import marginal_distribution, run_ideal, u_matrix, zero_state
 
 from conftest import X, bell_circuit, random_test_circuit, tv_distance
 
@@ -62,6 +64,53 @@ def test_depolarize_preserves_trace_and_hermiticity(rng):
         assert abs(np.trace(rho) - 1.0) < 1e-9
         np.testing.assert_allclose(rho, rho.conj().T, atol=1e-9)
         assert np.linalg.eigvalsh(rho).min() >= -1e-8
+
+
+PAULIS = (np.eye(2), np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
+          np.diag([1.0, -1.0]))
+
+
+def embed(ops: dict, n: int) -> np.ndarray:
+    """Full 2**n operator with ops[q] on qubit q (qubit 0 is the lowest bit)."""
+    full = np.eye(1)
+    for q in reversed(range(n)):
+        full = np.kron(full, ops.get(q, np.eye(2)))
+    return full
+
+
+def kraus_run_noisy_oracle(circuit, init, noise):
+    """Dense-matrix reference: each gate as a full unitary, each depolarizing
+    channel as the average over Pauli strings on its qubits."""
+    n = circuit.num_qubits
+    rho = np.einsum("ti,tj->tij", init, init.conj())
+    for gate in circuit.gates:
+        if isinstance(gate, UGate):
+            unitary = embed({gate.target: u_matrix(gate.theta, gate.phi, gate.lam)}, n)
+            qubits, p = (gate.target,), noise.p1
+        else:
+            unitary = (embed({gate.control: np.diag([1.0, 0.0])}, n)
+                       + embed({gate.control: np.diag([0.0, 1.0]), gate.target: PAULIS[1]}, n))
+            qubits, p = (gate.control, gate.target), noise.p2
+        rho = unitary @ rho @ unitary.conj().T
+        strings = [embed({q: PAULIS[i] for q, i in zip(qubits, ops)}, n)
+                   for ops in np.ndindex(*(4,) * len(qubits))]
+        mixed = sum(s @ rho @ s.conj().T for s in strings) / len(strings)
+        rho = (1.0 - p) * rho + p * mixed
+    probs = np.real(np.einsum("tii->ti", rho))
+    dist = marginal_distribution(probs, n, circuit.measured_qubits)
+    return apply_readout_error(dist, noise.readout_flip_0to1, noise.readout_flip_1to0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 4))
+def test_run_noisy_matches_kraus_oracle(seed, n):
+    rng = np.random.default_rng(seed)
+    circuit = random_test_circuit(rng, num_qubits=n)
+    noise = NoiseModel(*rng.uniform(0.0, 1.0, size=4))
+    init = rng.normal(size=(3, 1 << n)) + 1j * rng.normal(size=(3, 1 << n))
+    init /= np.linalg.norm(init, axis=1, keepdims=True)
+    np.testing.assert_allclose(run_noisy(circuit, init, noise),
+                               kraus_run_noisy_oracle(circuit, init, noise), rtol=0, atol=1e-12)
 
 
 def test_run_noisy_zero_noise_matches_ideal(rng):

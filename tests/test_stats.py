@@ -137,3 +137,30 @@ def test_median(sample, expected):
 def test_median_empty_rejected():
     with pytest.raises(ValidationError):
         median([])
+
+
+def test_matches_scipy_mannwhitneyu():
+    """scipy (a test-only dependency) as an extra oracle for U and both p methods."""
+    stats = pytest.importorskip("scipy.stats")
+    rng = np.random.default_rng(2024)
+    cases = []
+    for _ in range(60):  # tie-free, both sizes <= 10: exact
+        n1, n2 = int(rng.integers(1, 11)), int(rng.integers(1, 11))
+        cases.append((list(rng.normal(size=n1)), list(rng.normal(size=n2))))
+    for _ in range(60):  # ties or larger samples: normal approximation
+        n1, n2 = int(rng.integers(2, 40)), int(rng.integers(2, 40))
+        a, b = rng.normal(size=n1), rng.normal(0.3, 1.0, size=n2)
+        if rng.random() < 0.5:
+            a, b = np.round(a, 1), np.round(b, 1)
+        cases.append((list(a), list(b)))
+    cases.append(([1, 2, 2, 3], [2, 2, 4, 5]))
+    methods = set()
+    for a, b in cases:
+        ours = mann_whitney(a, b)
+        methods.add(ours.method)
+        method = "exact" if ours.method == "exact" else "asymptotic"
+        ref = stats.mannwhitneyu(a, b, alternative="two-sided",
+                                 use_continuity=True, method=method)
+        assert abs(ours.u_statistic - ref.statistic) < 1e-9
+        assert abs(ours.p_value - ref.pvalue) < 1e-12
+    assert methods == {"exact", "normal-approx"}

@@ -15,9 +15,30 @@ from qcens import (
     replicate_homogeneous,
     vote_distribution,
 )
-from qcens.ensemble import TestCase
+from qcens.ensemble import TestCase, _vote_batch
 
 from conftest import bell_circuit, tv_distance
+
+
+def enumeration_vote_matrix(k, n):
+    """(k**n, k) matrix mapping each joint member outcome to its vote split.
+
+    Row j is the joint outcome whose base-k digits are the member values; the
+    row puts 1/|W| on each value in the set W of plurality winners.
+    """
+    outcomes = (np.arange(k**n)[:, None] // k ** np.arange(n)[None, :]) % k
+    counts = (outcomes[:, :, None] == np.arange(k)[None, None, :]).sum(axis=1)
+    winners = counts == counts.max(axis=1, keepdims=True)
+    return winners / winners.sum(axis=1, keepdims=True)
+
+
+def enumeration_vote_oracle(member_dists):
+    """Exact vote by enumerating all k**n joint outcomes, (n, batch, k) -> (batch, k)."""
+    n, batch, k = member_dists.shape
+    joint = member_dists[0]
+    for m in range(1, n):
+        joint = (joint[:, :, None] * member_dists[m][:, None, :]).reshape(batch, -1)
+    return joint @ enumeration_vote_matrix(k, n)
 
 
 def mc_vote_oracle(member_dists, samples, rng):
@@ -107,13 +128,38 @@ def test_vote_matches_monte_carlo_oracle():
         assert tv_distance(exact, empirical) < 0.005
 
 
-def test_monte_carlo_fallback_path():
-    # k=2, n=21 exceeds the 10^6 joint-outcome limit
-    rng = np.random.default_rng(3)
-    dists = [np.array([0.9, 0.1])] * 21
-    vote = vote_distribution(dists, rng=rng)
-    assert abs(vote.sum() - 1.0) < 1e-9
-    assert vote[0] > 0.99  # strong majority for value 0
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([2, 4]),
+    n=st.integers(1, 7),
+)
+def test_count_vector_dp_matches_enumeration_oracle(seed, k, n):
+    rng = np.random.default_rng(seed)
+    member_dists = rng.dirichlet(np.ones(k), size=(n, 20))
+    np.testing.assert_allclose(_vote_batch(member_dists),
+                               enumeration_vote_oracle(member_dists), rtol=0, atol=1e-12)
+
+
+def test_large_homogeneous_vote_is_exact_binomial_tail():
+    # 21 members: value 0 wins unless 11 or more members output value 1
+    vote = vote_distribution([np.array([0.9, 0.1])] * 21)
+    tail = sum(math.comb(21, j) * 0.1**j * 0.9 ** (21 - j) for j in range(11))
+    assert abs(vote[0] - tail) < 1e-12
+    assert abs(vote[1] - (1.0 - tail)) < 1e-12
+
+
+def test_wide_domain_vote_is_valid_and_order_free():
+    # three measured bits (k=8), seven members: 3432 count vectors
+    rng = np.random.default_rng(11)
+    dists = list(rng.dirichlet(np.ones(8), size=7))
+    vote = vote_distribution(dists)
+    assert vote.shape == (8,)
+    assert np.all(vote >= 0.0)
+    assert abs(vote.sum() - 1.0) < 1e-12
+    np.testing.assert_allclose(vote, vote_distribution(dists[::-1]), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(vote, vote_distribution([dists[i] for i in rng.permutation(7)]),
+                               rtol=0, atol=1e-12)
 
 
 def test_condorcet_amplification_binary_domain():
