@@ -20,15 +20,8 @@ from .iris import EncodingSpec, encode_all, load_dataset, split
 from .noisefiles import resolve_noise
 
 
-def _require_file(path: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise QcensError(f"no such file: {path}")
-    return p
-
-
 def cmd_evolve(args) -> int:
-    config = ser.read_config(_require_file(args.config))
+    config = ser.read_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
     if args.qubits is not None:
@@ -37,7 +30,7 @@ def cmd_evolve(args) -> int:
         config = replace(config, ensemble_size=args.ensemble_size)
     if args.mode is not None:
         config = replace(config, shots=ser.parse_eval_mode(args.mode))
-    tests = ser.read_test_cases(_require_file(args.tests))
+    tests = ser.read_test_cases(args.tests)
     noise = resolve_noise(args.noise)
     population = evolve(config, tests, noise=noise, log=print)
     ser.write_population(population, args.population)
@@ -45,11 +38,11 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    population = ser.read_population(_require_file(args.population))
-    tests = ser.read_test_cases(_require_file(args.tests))
+    population = ser.read_population(args.population)
+    tests = ser.read_test_cases(args.tests)
     noise = resolve_noise(args.noise)
     shots = ser.parse_eval_mode(args.mode) if args.mode else None
-    fitnesses = evaluate_population(population, tests, noise=noise,
+    fitnesses = evaluate_population(population.individuals, tests, noise=noise,
                                     shots=shots, seed=args.seed or 0)
     for index, fitness in enumerate(fitnesses):
         print(f"{index},{fitness!r}")
@@ -57,9 +50,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    het = ser.read_population(_require_file(args.het_population))
-    hom = ser.read_population(_require_file(args.hom_population))
-    tests = ser.read_test_cases(_require_file(args.tests))
+    het = ser.read_population(args.het_population)
+    hom = ser.read_population(args.hom_population)
+    tests = ser.read_test_cases(args.tests)
     noise = resolve_noise(args.noise)
     row = compare_populations(het, hom, args.ensemble_size, tests, noise=noise)
     output = ser.result_rows_to_csv([row])
@@ -76,7 +69,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = ser.result_rows_from_csv(_require_file(args.rows).read_text())
+    rows = ser.result_rows_from_csv(Path(args.rows).read_text())
     # ideal first, then noise backends in file order
     rows.sort(key=lambda r: (r.backend_name != "ideal",))
     ser.write_atomic(args.out_csv, ser.result_rows_to_csv(rows))
@@ -87,7 +80,7 @@ def cmd_report(args) -> int:
 
 
 def cmd_encode_dataset(args) -> int:
-    dataset = load_dataset(_require_file(args.input))
+    dataset = load_dataset(args.input)
     spec = EncodingSpec.from_examples(dataset)
     cases = encode_all(dataset, spec)
     if args.evolution_out or args.evaluation_out:
@@ -165,10 +158,7 @@ def main(argv=None) -> int:
         parser.error("encode-dataset needs --output or --evolution-out/--evaluation-out")
     try:
         return args.func(args)
-    except QcensError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (QcensError, OSError) as exc:  # readers raise OSError for missing files
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

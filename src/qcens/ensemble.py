@@ -21,6 +21,12 @@ from .errors import StructuralError, ValidationError
 from .noise import NoiseModel, run_noisy
 from .statevector import run_ideal, sample_shots, state_from_angles, evolve_state, zero_state
 
+# Ensemble fitness is reported rounded to this many decimals.  Fitnesses that
+# are equal in exact arithmetic but differ in their last bits, by the summation
+# order of the vote or the simulation, then tie, so neither evolution's
+# selection nor a comparison's ranks depend on that order.
+SELECTION_DECIMALS = 12
+
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -218,7 +224,8 @@ class Evaluator:
             member_dists = self._degrade_to_shots(member_dists)
         vote = _vote_batch(member_dists)
         per_test = vote[np.arange(len(self.tests)), self._expected]
-        return FitnessReport(float(per_test.mean()), tuple(per_test.tolist()))
+        return FitnessReport(round(float(per_test.mean()), SELECTION_DECIMALS),
+                             tuple(per_test.tolist()))
 
     def _degrade_to_shots(self, member_dists: np.ndarray) -> np.ndarray:
         n, num_tests, _ = member_dists.shape

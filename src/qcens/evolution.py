@@ -19,11 +19,6 @@ from .errors import StructuralError, ValidationError
 from .noise import NoiseModel
 
 TWO_PI = 2.0 * math.pi
-# Selection compares fitness rounded to this many decimals.  Fitnesses that are
-# equal in exact arithmetic but differ in their last bits, by the summation
-# order of the vote or the simulation, then tie, and ties go to the lower
-# index, so the evolved population does not depend on that order.
-SELECTION_DECIMALS = 12
 
 
 @dataclass(frozen=True)
@@ -74,10 +69,6 @@ class Population:
     def __post_init__(self) -> None:
         if len(self.individuals) != len(self.fitnesses):
             raise StructuralError("individuals and fitnesses must have equal length")
-
-    def best_index(self) -> int:
-        return max(range(len(self.fitnesses)),
-                   key=lambda i: (self.fitnesses[i].fitness, -i))
 
 
 def _random_gate(config: EvolutionConfig, rng: np.random.Generator) -> Gate:
@@ -199,7 +190,7 @@ def evolve(config: EvolutionConfig, evolution_tests,
     _log_generation(log, 0, reports)
     elite_count = math.ceil(config.elite_fraction * config.population_size)
     for generation in range(1, config.generations + 1):
-        fitnesses = [round(r.fitness, SELECTION_DECIMALS) for r in reports]
+        fitnesses = [r.fitness for r in reports]  # rounded by the Evaluator
         order = sorted(range(len(individuals)), key=lambda i: (-fitnesses[i], i))
         offspring = [individuals[i] for i in order[:elite_count]]
         while len(offspring) < config.population_size:

@@ -47,12 +47,11 @@ class ExperimentPlan:
             raise ValidationError("size 1 must be included to build homogeneous baselines")
 
 
-def evaluate_population(population: Population, tests,
-                        noise: NoiseModel | None = None,
+def evaluate_population(individuals, tests, noise: NoiseModel | None = None,
                         shots: int | None = None, seed: int = 0) -> list[float]:
-    """Fitness of every ensemble in the population, in population order."""
+    """Fitness of every ensemble, in order, from one Evaluator and its cache."""
     evaluator = Evaluator(tests, noise=noise, shots=shots, seed=seed)
-    return [evaluator.ensemble_fitness(e).fitness for e in population.individuals]
+    return [evaluator.ensemble_fitness(e).fitness for e in individuals]
 
 
 def compare_populations(het: Population, hom_base: Population, n: int, tests,
@@ -65,12 +64,10 @@ def compare_populations(het: Population, hom_base: Population, n: int, tests,
         raise ValidationError(f"heterogeneous population has sizes {het_sizes}, expected {{{n}}}")
     if {len(e) for e in hom_base.individuals} != {1}:
         raise ValidationError("homogeneous base population must have ensemble size 1")
-    evaluator = Evaluator(tests, noise=noise, shots=shots, seed=seed)
-    het_fits = [evaluator.ensemble_fitness(e).fitness for e in het.individuals]
-    hom_fits = [
-        evaluator.ensemble_fitness(replicate_homogeneous(e.circuits[0], n)).fitness
-        for e in hom_base.individuals
-    ]
+    hom = [replicate_homogeneous(e.circuits[0], n) for e in hom_base.individuals]
+    fits = evaluate_population([*het.individuals, *hom], tests, noise=noise,
+                               shots=shots, seed=seed)
+    het_fits, hom_fits = fits[:len(het.individuals)], fits[len(het.individuals):]
     result = mann_whitney(het_fits, hom_fits)
     if backend_name is None:
         backend_name = noise.name if noise is not None else "ideal"

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -36,22 +36,15 @@ class LabeledExample:
 
 @dataclass(frozen=True)
 class EncodingSpec:
-    """Per-feature scaling bounds plus the class-to-bits assignment."""
+    """Per-feature scaling bounds; classes map to bits by ``DEFAULT_CLASS_MAP``."""
 
     mins: tuple[float, ...]
     maxs: tuple[float, ...]
-    class_map: dict = field(default_factory=lambda: dict(DEFAULT_CLASS_MAP))
-    invalid_value: int = INVALID_CLASS_VALUE
 
     def __post_init__(self) -> None:
         for j, (lo, hi) in enumerate(zip(self.mins, self.maxs)):
             if not lo < hi:
                 raise ValidationError(f"feature {j}: min {lo} must be < max {hi}")
-        values = list(self.class_map.values())
-        if len(set(values)) != len(values):
-            raise ValidationError("class_map must be injective")
-        if self.invalid_value in values:
-            raise ValidationError("invalid_value collides with a mapped class")
 
     @classmethod
     def from_examples(cls, examples) -> "EncodingSpec":
@@ -105,7 +98,7 @@ def encode(example: LabeledExample, spec: EncodingSpec) -> TestCase:
         lo, hi = spec.mins[j], spec.maxs[j]
         scaled = (min(max(x, lo), hi) - lo) / (hi - lo)  # clamp, then [0, 1]
         gates.append(UGate(target=j, theta=math.pi * scaled, phi=0.0, lam=0.0))
-    return TestCase(expected=spec.class_map[example.class_label], init_gates=tuple(gates))
+    return TestCase(expected=DEFAULT_CLASS_MAP[example.class_label], init_gates=tuple(gates))
 
 
 def encode_all(examples, spec: EncodingSpec | None = None) -> list[TestCase]:

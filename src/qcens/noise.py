@@ -13,17 +13,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
-from .circuits import Circuit, CXGate, UGate
+from .circuits import Circuit, UGate
 from .errors import StructuralError, ValidationError
-from .statevector import (
-    _cx_permutation,
-    marginal_distribution,
-    u_matrix,
-    zero_state,
-)
+from .statevector import _cx_permutation, _value_map, u_matrix, zero_state
 
 MAX_DENSITY_QUBITS = 10
 
@@ -44,10 +40,6 @@ class NoiseModel:
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{field} must be in [0, 1], got {value}")
 
-    @property
-    def is_zero(self) -> bool:
-        return self.p1 == self.p2 == self.readout_flip_0to1 == self.readout_flip_1to0 == 0.0
-
 
 ZERO_NOISE = NoiseModel(0.0, 0.0, 0.0, 0.0, name="zero")
 
@@ -57,21 +49,9 @@ def density_from_state(state: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...j->...ij", state, np.conj(state))
 
 
-def _num_qubits_of_rho(rho: np.ndarray) -> int:
-    dim = rho.shape[-1]
-    n = dim.bit_length() - 1
-    if rho.shape[-2] != dim or dim != 1 << n:
-        raise StructuralError(f"density matrix has bad shape {rho.shape[-2:]}")
-    if n > MAX_DENSITY_QUBITS:
-        raise ValidationError(f"density-matrix register capped at {MAX_DENSITY_QUBITS} qubits")
-    return n
-
-
-def _apply_u_rho(rho: np.ndarray, target: int, theta: float, phi: float, lam: float,
+def _apply_u_rho(rho: np.ndarray, n: int, target: int, mat: np.ndarray,
                  spare: np.ndarray, half: np.ndarray) -> None:
-    """rho <- U rho U^dagger in place; ``spare`` and ``half`` are scratch."""
-    n = _num_qubits_of_rho(rho)
-    mat = u_matrix(theta, phi, lam)
+    """rho <- U rho U^dagger in place on n qubits; ``spare`` and ``half`` are scratch."""
     batch, hi, lo, dim = rho.shape[:-2], 1 << (n - 1 - target), 1 << target, 1 << n
     # U acts on the target bit of the row index, then conj(U) on that of the column
     for src, dst, shape, m in ((rho, spare, (hi, 2, lo * dim), mat),
@@ -95,7 +75,12 @@ def depolarize(rho: np.ndarray, qubits, p: float) -> np.ndarray:
     qubits = tuple(qubits)
     if len(set(qubits)) != len(qubits):
         raise StructuralError(f"depolarize qubits not distinct: {qubits}")
-    n = _num_qubits_of_rho(rho)
+    dim = rho.shape[-1]
+    n = dim.bit_length() - 1
+    if rho.shape[-2] != dim or dim != 1 << n:
+        raise StructuralError(f"density matrix has bad shape {rho.shape[-2:]}")
+    if n > MAX_DENSITY_QUBITS:
+        raise ValidationError(f"density-matrix register capped at {MAX_DENSITY_QUBITS} qubits")
     for q in qubits:
         if not 0 <= q < n:
             raise StructuralError(f"depolarize qubit {q} out of range for {n} qubits")
@@ -126,6 +111,13 @@ def _depolarize_in_place(rho: np.ndarray, n: int, qubits: tuple[int, ...], p: fl
         block += mixed
 
 
+def _readout_matrix(m: int, flip_0to1: float, flip_1to0: float) -> np.ndarray:
+    """(k, k) law of independent flips on m bits; column j is the output law for input j."""
+    bit = np.array([[1.0 - flip_0to1, flip_1to0],
+                    [flip_0to1, 1.0 - flip_1to0]])
+    return reduce(np.kron, [bit] * m, np.eye(1))
+
+
 def apply_readout_error(dist: np.ndarray, flip_0to1: float, flip_1to0: float) -> np.ndarray:
     """Independent classical bit-flips on each measured bit of a distribution."""
     for p in (flip_0to1, flip_1to0):
@@ -135,16 +127,7 @@ def apply_readout_error(dist: np.ndarray, flip_0to1: float, flip_1to0: float) ->
     m = k.bit_length() - 1
     if k != 1 << m:
         raise StructuralError(f"distribution length {k} is not a power of two")
-    # column j of the transition matrix is the output law for input bit j
-    trans = np.array([[1.0 - flip_0to1, flip_1to0],
-                      [flip_0to1, 1.0 - flip_1to0]])
-    batch_shape = dist.shape[:-1]
-    tensor = dist.reshape(batch_shape + (2,) * m)
-    nb = len(batch_shape)
-    for bit in range(m):
-        axis = nb + (m - 1 - bit)
-        tensor = np.moveaxis(np.tensordot(tensor, trans, axes=([axis], [1])), -1, axis)
-    return tensor.reshape(batch_shape + (k,))
+    return dist @ _readout_matrix(m, flip_0to1, flip_1to0).T
 
 
 def run_noisy(circuit: Circuit, init: np.ndarray | None = None,
@@ -155,36 +138,36 @@ def run_noisy(circuit: Circuit, init: np.ndarray | None = None,
     channel after each gate, then marginalizes over the measured qubits and
     applies the readout bit-flips.
     """
-    if circuit.num_qubits > MAX_DENSITY_QUBITS:
+    n = circuit.num_qubits
+    if n > MAX_DENSITY_QUBITS:
         raise ValidationError(
-            f"noisy simulation capped at {MAX_DENSITY_QUBITS} qubits, "
-            f"circuit has {circuit.num_qubits}"
+            f"noisy simulation capped at {MAX_DENSITY_QUBITS} qubits, circuit has {n}"
         )
     if init is None:
-        init = zero_state(circuit.num_qubits)
-    if init.shape[-1] != 1 << circuit.num_qubits:
+        init = zero_state(n)
+    if init.shape[-1] != 1 << n:
         raise StructuralError(
-            f"init dimension {init.shape[-1]} does not match "
-            f"{circuit.num_qubits}-qubit circuit"
+            f"init dimension {init.shape[-1]} does not match {n}-qubit circuit"
         )
     rho = density_from_state(np.asarray(init, dtype=np.complex128))
     # gates update rho in place, with these two buffers as scratch: full-size
     # temporaries per gate would make the allocator return and re-fault memory
     spare = np.empty_like(rho)
     half = np.empty(rho.size // 2, dtype=rho.dtype)
-    for gate in circuit.gates:
+    for gate in circuit.gates:  # validated with the circuit, so unchecked here
         if isinstance(gate, UGate):
-            _apply_u_rho(rho, gate.target, gate.theta, gate.phi, gate.lam, spare, half)
+            mat = u_matrix(gate.theta, gate.phi, gate.lam)
+            _apply_u_rho(rho, n, gate.target, mat, spare, half)
             qubits, p = (gate.target,), noise.p1
-        elif isinstance(gate, CXGate):
-            perm = _cx_permutation(circuit.num_qubits, gate.control, gate.target)
+        else:
+            perm = _cx_permutation(n, gate.control, gate.target)
             np.take(rho, perm, axis=-2, out=spare)
             np.take(spare, perm, axis=-1, out=rho)
             qubits, p = (gate.control, gate.target), noise.p2
-        else:
-            raise StructuralError(f"unknown gate type: {type(gate).__name__}")
         if p:
-            _depolarize_in_place(rho, circuit.num_qubits, qubits, p)
+            _depolarize_in_place(rho, n, qubits, p)
     probs = np.real(np.einsum("...ii->...i", rho))
-    dist = marginal_distribution(probs, circuit.num_qubits, circuit.measured_qubits)
-    return apply_readout_error(dist, noise.readout_flip_0to1, noise.readout_flip_1to0)
+    readout = _readout_matrix(circuit.num_output_bits,
+                              noise.readout_flip_0to1, noise.readout_flip_1to0)
+    # one (2**n, k) map: basis state -> measured value -> read-out value
+    return probs @ (_value_map(n, circuit.measured_qubits) @ readout.T)

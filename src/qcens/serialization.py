@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .circuits import Circuit, CXGate, Gate, UGate
@@ -119,28 +119,18 @@ def read_test_cases(path) -> list[TestCase]:
 # --- evolution configs (JSON) ---
 
 def config_to_obj(config: EvolutionConfig) -> dict:
-    return {
-        "num_qubits": config.num_qubits,
-        "measured_qubits": list(config.measured_qubits),
-        "population_size": config.population_size,
-        "generations": config.generations,
-        "ensemble_size": config.ensemble_size,
-        "gate_cap": config.gate_cap,
-        "crossover_rate": config.crossover_rate,
-        "mutation_rate": config.mutation_rate,
-        "tournament_size": config.tournament_size,
-        "elite_fraction": config.elite_fraction,
-        "angle_sigma": config.angle_sigma,
-        "seed": config.seed,
-        "eval_mode": "exact" if config.shots is None else f"shots:{config.shots}",
-    }
+    """Every ``EvolutionConfig`` field, with ``shots`` written as ``eval_mode``."""
+    obj = asdict(config)
+    shots = obj.pop("shots")
+    obj["measured_qubits"] = list(config.measured_qubits)
+    obj["eval_mode"] = "exact" if shots is None else f"shots:{shots}"
+    return obj
 
 
 def config_from_obj(obj: dict) -> EvolutionConfig:
+    """Inverse of ``config_to_obj``; absent fields take the ``EvolutionConfig`` defaults."""
     obj = dict(obj)
-    mode = obj.pop("eval_mode", "exact")
-    obj["shots"] = parse_eval_mode(mode)
-    obj["measured_qubits"] = tuple(obj.get("measured_qubits", (0, 1)))
+    obj["shots"] = parse_eval_mode(obj.pop("eval_mode", "exact"))
     try:
         return EvolutionConfig(**obj)
     except TypeError as exc:

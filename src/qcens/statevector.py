@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import Circuit, CXGate, UGate
+from .circuits import Circuit, CXGate, Gate, UGate
 from .errors import StructuralError, ValidationError
 
 
@@ -24,9 +24,6 @@ def u_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
     U = [[cos(t/2),            -e^{i*lam} sin(t/2)],
          [e^{i*phi} sin(t/2),   e^{i*(phi+lam)} cos(t/2)]]
     """
-    for angle in (theta, phi, lam):
-        if not math.isfinite(angle):
-            raise ValidationError(f"non-finite gate angle: {angle!r}")
     c = math.cos(theta / 2.0)
     s = math.sin(theta / 2.0)
     return np.array(
@@ -69,21 +66,32 @@ def _cx_permutation(num_qubits: int, control: int, target: int) -> np.ndarray:
     return idx ^ (((idx >> control) & 1) << target)
 
 
-def _num_qubits_of(state: np.ndarray) -> int:
+def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
+    """Apply one gate after checking it against the state's register width."""
     dim = state.shape[-1]
     n = dim.bit_length() - 1
     if dim != 1 << n:
         raise StructuralError(f"state dimension {dim} is not a power of two")
-    return n
+    gate.validate(n)
+    return _apply_gate(state, n, gate)
 
 
 def apply_u(state: np.ndarray, target: int, theta: float, phi: float, lam: float) -> np.ndarray:
     """Apply a U gate to the target qubit; returns a new state array."""
-    n = _num_qubits_of(state)
-    if not 0 <= target < n:
-        raise StructuralError(f"target {target} out of range for {n} qubits")
-    mat = u_matrix(theta, phi, lam)
-    i0, i1 = _pair_indices(n, target)
+    return apply_gate(state, UGate(target, theta, phi, lam))
+
+
+def apply_cx(state: np.ndarray, control: int, target: int) -> np.ndarray:
+    """Apply a controlled-not gate; returns a new state array."""
+    return apply_gate(state, CXGate(control, target))
+
+
+def _apply_gate(state: np.ndarray, n: int, gate: Gate) -> np.ndarray:
+    """``apply_gate`` without its checks, for gates already validated on n qubits."""
+    if isinstance(gate, CXGate):
+        return state[..., _cx_permutation(n, gate.control, gate.target)]
+    mat = u_matrix(gate.theta, gate.phi, gate.lam)
+    i0, i1 = _pair_indices(n, gate.target)
     out = np.empty_like(state)
     a = state[..., i0]
     b = state[..., i1]
@@ -92,26 +100,8 @@ def apply_u(state: np.ndarray, target: int, theta: float, phi: float, lam: float
     return out
 
 
-def apply_cx(state: np.ndarray, control: int, target: int) -> np.ndarray:
-    """Apply a controlled-not gate; returns a new state array."""
-    n = _num_qubits_of(state)
-    if control == target:
-        raise StructuralError(f"CX control equals target ({control})")
-    for q in (control, target):
-        if not 0 <= q < n:
-            raise StructuralError(f"CX qubit {q} out of range for {n} qubits")
-    return state[..., _cx_permutation(n, control, target)]
-
-
-def apply_gate(state: np.ndarray, gate) -> np.ndarray:
-    if isinstance(gate, UGate):
-        return apply_u(state, gate.target, gate.theta, gate.phi, gate.lam)
-    if isinstance(gate, CXGate):
-        return apply_cx(state, gate.control, gate.target)
-    raise StructuralError(f"unknown gate type: {type(gate).__name__}")
-
-
 def evolve_state(circuit: Circuit, init: np.ndarray) -> np.ndarray:
+    """Final state of a validated circuit, so its gates are not checked again."""
     if init.shape[-1] != 1 << circuit.num_qubits:
         raise StructuralError(
             f"init dimension {init.shape[-1]} does not match "
@@ -119,30 +109,24 @@ def evolve_state(circuit: Circuit, init: np.ndarray) -> np.ndarray:
         )
     state = np.asarray(init, dtype=np.complex128)
     for gate in circuit.gates:
-        state = apply_gate(state, gate)
+        state = _apply_gate(state, circuit.num_qubits, gate)
     return state
 
 
 @lru_cache(maxsize=None)
-def _output_value_masks(num_qubits: int, measured_qubits: tuple[int, ...]) -> np.ndarray:
-    """Boolean matrix: row v selects basis indices whose measured bits read v."""
+def _value_map(num_qubits: int, measured_qubits: tuple[int, ...]) -> np.ndarray:
+    """(2**n, k) 0/1 matrix: row i has its 1 in the value that basis state i reads."""
     idx = np.arange(1 << num_qubits)
     values = np.zeros_like(idx)
     for pos, q in enumerate(measured_qubits):
         values |= ((idx >> q) & 1) << pos
-    k = 1 << len(measured_qubits)
-    return values[None, :] == np.arange(k)[:, None]
+    return (values[:, None] == np.arange(1 << len(measured_qubits))).astype(np.float64)
 
 
 def marginal_distribution(probs: np.ndarray, num_qubits: int,
                           measured_qubits: tuple[int, ...]) -> np.ndarray:
     """Sum basis-state probabilities grouped by measured-bit pattern."""
-    masks = _output_value_masks(num_qubits, tuple(measured_qubits))
-    k = masks.shape[0]
-    out = np.empty(probs.shape[:-1] + (k,), dtype=np.float64)
-    for v in range(k):
-        out[..., v] = probs[..., masks[v]].sum(axis=-1)
-    return out
+    return probs @ _value_map(num_qubits, tuple(measured_qubits))
 
 
 def run_ideal(circuit: Circuit, init: np.ndarray | None = None) -> np.ndarray:

@@ -55,11 +55,12 @@ def test_evolve_command_solves_trivial_problem(trivial_setup, tmp_path, capsys):
 def test_evolve_missing_test_file_exits_2(trivial_setup, tmp_path, capsys):
     config_path, _ = trivial_setup
     out = tmp_path / "pop.json"
-    code = main(["evolve", "--config", str(config_path),
-                 "--tests", str(tmp_path / "missing.jsonl"), "--population", str(out)])
-    assert code == 2
-    assert not out.exists()
-    assert "error" in capsys.readouterr().err
+    for tests in (tmp_path / "missing.jsonl", tmp_path):  # absent, then a directory
+        code = main(["evolve", "--config", str(config_path),
+                     "--tests", str(tests), "--population", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "error" in capsys.readouterr().err
 
 
 def test_evolve_same_seed_byte_identical(trivial_setup, tmp_path):

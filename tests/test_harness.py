@@ -1,11 +1,16 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+import qcens.ensemble as ensemble
 import qcens.harness as harness
-from qcens import EvolutionConfig, ValidationError
+from qcens import EvolutionConfig, ValidationError, evolve
 from qcens.harness import ExperimentPlan, compare_populations, run_experiment
+from qcens.iris import bundled_dataset_path, encode_all, load_dataset, split
 from qcens.serialization import read_population, result_rows_from_csv
+
+from test_vote import enumeration_vote_oracle
 
 
 def small_plan(tmp_path, **kw):
@@ -127,3 +132,18 @@ def test_compare_complete_separation_gives_r_plus_one(tmp_path):
     tests = [t for t in result.evaluation_tests if t.expected == 0][:5]
     row = compare_populations(result.populations[3], bad, 3, tests)
     assert row.effect_r == 1.0
+
+
+def test_compare_row_does_not_depend_on_vote_summation_order(monkeypatch):
+    """Scoring the same populations by the k**n enumeration, or by the DP over
+    reversed members, moves fitnesses in their last bits but not the row."""
+    train, evaluation = split(encode_all(load_dataset(bundled_dataset_path())), 100, 0)
+    config = EvolutionConfig(num_qubits=4, measured_qubits=(0, 1), population_size=20,
+                             generations=30, ensemble_size=5, seed=0)
+    het = evolve(config, train)
+    hom = evolve(replace(config, ensemble_size=1), train)
+    row = compare_populations(het, hom, 5, evaluation)
+    by_dp = ensemble._vote_batch
+    for vote in (enumeration_vote_oracle, lambda dists: by_dp(dists[::-1])):
+        monkeypatch.setattr(ensemble, "_vote_batch", vote)
+        assert compare_populations(het, hom, 5, evaluation) == row

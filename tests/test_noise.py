@@ -21,7 +21,7 @@ from qcens.noisefiles import (
     resolve_noise,
     write_noise_config,
 )
-from qcens.statevector import marginal_distribution, run_ideal, u_matrix, zero_state
+from qcens.statevector import run_ideal, u_matrix, zero_state
 
 from conftest import X, bell_circuit, random_test_circuit, tv_distance
 
@@ -80,7 +80,8 @@ def embed(ops: dict, n: int) -> np.ndarray:
 
 def kraus_run_noisy_oracle(circuit, init, noise):
     """Dense-matrix reference: each gate as a full unitary, each depolarizing
-    channel as the average over Pauli strings on its qubits."""
+    channel as the average over Pauli strings on its qubits, and the readout
+    as a loop over (basis state, read value) pairs."""
     n = circuit.num_qubits
     rho = np.einsum("ti,tj->tij", init, init.conj())
     for gate in circuit.gates:
@@ -97,8 +98,16 @@ def kraus_run_noisy_oracle(circuit, init, noise):
         mixed = sum(s @ rho @ s.conj().T for s in strings) / len(strings)
         rho = (1.0 - p) * rho + p * mixed
     probs = np.real(np.einsum("tii->ti", rho))
-    dist = marginal_distribution(probs, n, circuit.measured_qubits)
-    return apply_readout_error(dist, noise.readout_flip_0to1, noise.readout_flip_1to0)
+    # basis state i reads value w when each measured bit b independently reads c
+    f01, f10 = noise.readout_flip_0to1, noise.readout_flip_1to0
+    law = ((1.0 - f01, f01), (f10, 1.0 - f10))  # law[b][c]
+    dist = np.zeros((len(probs), 1 << circuit.num_output_bits))
+    for i in range(1 << n):
+        for w in range(dist.shape[1]):
+            dist[:, w] += probs[:, i] * math.prod(
+                law[(i >> q) & 1][(w >> pos) & 1]
+                for pos, q in enumerate(circuit.measured_qubits))
+    return dist
 
 
 @settings(deadline=None, max_examples=40)
@@ -111,6 +120,13 @@ def test_run_noisy_matches_kraus_oracle(seed, n):
     init /= np.linalg.norm(init, axis=1, keepdims=True)
     np.testing.assert_allclose(run_noisy(circuit, init, noise),
                                kraus_run_noisy_oracle(circuit, init, noise), rtol=0, atol=1e-12)
+    ideal = run_ideal(circuit, init)
+    np.testing.assert_allclose(ideal, kraus_run_noisy_oracle(circuit, init, ZERO_NOISE),
+                               rtol=0, atol=1e-12)
+    readout_only = NoiseModel(0.0, 0.0, noise.readout_flip_0to1, noise.readout_flip_1to0)
+    np.testing.assert_allclose(
+        apply_readout_error(ideal, noise.readout_flip_0to1, noise.readout_flip_1to0),
+        kraus_run_noisy_oracle(circuit, init, readout_only), rtol=0, atol=1e-12)
 
 
 def test_run_noisy_zero_noise_matches_ideal(rng):
