@@ -16,7 +16,7 @@ from . import serialization as ser
 from .errors import QcensError
 from .evolution import evolve
 from .harness import compare_populations, evaluate_population
-from .iris import EncodingSpec, encode_all, load_dataset, split
+from .iris import encode_all, load_dataset, split
 from .noisefiles import resolve_noise
 
 
@@ -59,7 +59,7 @@ def cmd_compare(args) -> int:
     if args.append_to:
         path = Path(args.append_to)
         if path.is_file():
-            rows = ser.result_rows_from_csv(path.read_text())
+            rows = ser.decode_file(path, ser.result_rows_from_csv)
             rows.append(row)
             ser.write_atomic(path, ser.result_rows_to_csv(rows))
         else:
@@ -69,7 +69,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = ser.result_rows_from_csv(Path(args.rows).read_text())
+    rows = ser.decode_file(args.rows, ser.result_rows_from_csv)
     # ideal first, then noise backends in file order
     rows.sort(key=lambda r: (r.backend_name != "ideal",))
     ser.write_atomic(args.out_csv, ser.result_rows_to_csv(rows))
@@ -81,8 +81,7 @@ def cmd_report(args) -> int:
 
 def cmd_encode_dataset(args) -> int:
     dataset = load_dataset(args.input)
-    spec = EncodingSpec.from_examples(dataset)
-    cases = encode_all(dataset, spec)
+    cases = encode_all(dataset)
     if args.evolution_out or args.evaluation_out:
         if not (args.evolution_out and args.evaluation_out):
             raise QcensError("--evolution-out and --evaluation-out must be given together")

@@ -39,6 +39,7 @@ class EvolutionConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "measured_qubits", tuple(self.measured_qubits))
+        Circuit(self.num_qubits, (), self.measured_qubits)  # checks the register
         if self.population_size < 2:
             raise ValidationError("population_size must be >= 2")
         if self.generations < 1:
@@ -57,6 +58,8 @@ class EvolutionConfig:
             raise ValidationError("angle_sigma must be >= 0")
         if self.shots is not None and self.shots < 1:
             raise ValidationError("shots must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("seed must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from pathlib import Path
 from .ensemble import Evaluator, replicate_homogeneous
 from .errors import ValidationError
 from .evolution import EvolutionConfig, Population, evolve
-from .iris import EncodingSpec, bundled_dataset_path, encode_all, load_dataset, split
+from .iris import bundled_dataset_path, encode_all, load_dataset, split
 from .noise import NoiseModel
 from .noisefiles import load_preset
 from .serialization import (
@@ -92,8 +92,7 @@ class ExperimentResult:
 def run_experiment(plan: ExperimentPlan, log=None) -> ExperimentResult:
     """Evolve all sizes, compare against homogeneous baselines, write artifacts."""
     dataset = load_dataset(plan.dataset_path or bundled_dataset_path())
-    spec = EncodingSpec.from_examples(dataset)
-    cases = encode_all(dataset, spec)
+    cases = encode_all(dataset)
     evolution_tests, evaluation_tests = split(cases, plan.n_evolution, plan.seed)
 
     out_dir = Path(plan.output_dir)

@@ -1,10 +1,12 @@
 """Iris dataset ingestion, angle encoding, and the evolution/evaluation split.
 
-Each of the four features is min-max scaled over the full dataset to an angle
-in [0, pi] and prepared on its own qubit via a Y rotation (U(theta, 0, 0)), so
-the feature extremes map to the orthogonal states |0> and |1>.  The class
-label is encoded in the two measured bits: setosa -> 0, versicolor -> 1,
-virginica -> 2; value 3 is the unused "invalid" class.
+``encode_all`` min-max scales each of the four features to an angle in
+[0, pi], with bounds taken from the examples it is given; callers pass the
+full dataset before splitting it, so the bounds are those of the whole
+dataset.  Each angle is prepared on its own qubit via a Y rotation
+(U(theta, 0, 0)), so the feature extremes map to the orthogonal states |0>
+and |1>.  The class label is encoded in the two measured bits: setosa -> 0,
+versicolor -> 1, virginica -> 2; value 3 is the unused "invalid" class.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import numpy as np
 from .circuits import UGate
 from .ensemble import TestCase
 from .errors import ParseError, ValidationError
+from .serialization import decode_file
 
 NUM_FEATURES = 4
 SPECIES = ("setosa", "versicolor", "virginica")
@@ -32,24 +35,6 @@ EXAMPLES_PER_CLASS = 50
 class LabeledExample:
     features: tuple[float, float, float, float]
     class_label: str
-
-
-@dataclass(frozen=True)
-class EncodingSpec:
-    """Per-feature scaling bounds; classes map to bits by ``DEFAULT_CLASS_MAP``."""
-
-    mins: tuple[float, ...]
-    maxs: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        for j, (lo, hi) in enumerate(zip(self.mins, self.maxs)):
-            if not lo < hi:
-                raise ValidationError(f"feature {j}: min {lo} must be < max {hi}")
-
-    @classmethod
-    def from_examples(cls, examples) -> "EncodingSpec":
-        arr = np.array([e.features for e in examples])
-        return cls(mins=tuple(arr.min(axis=0)), maxs=tuple(arr.max(axis=0)))
 
 
 def bundled_dataset_path() -> Path:
@@ -65,46 +50,44 @@ def _normalize_label(raw: str) -> str:
 
 def load_dataset(path) -> list[LabeledExample]:
     """Parse the 5-column comma-separated Iris file and validate class counts."""
-    path = Path(path)
+    return decode_file(path, _examples_from_lines, by_line=True)
+
+
+def _examples_from_lines(lines) -> list[LabeledExample]:
     examples: list[LabeledExample] = []
-    with path.open(newline="") as handle:
-        for lineno, row in enumerate(csv.reader(handle), start=1):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != NUM_FEATURES + 1:
-                raise ParseError(f"{path}:{lineno}: expected 5 columns, got {len(row)}")
-            try:
-                feats = tuple(float(v) for v in row[:NUM_FEATURES])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric feature in {row!r}") from None
-            if any(not math.isfinite(f) or f <= 0 for f in feats):
-                raise ValidationError(f"{path}:{lineno}: features must be finite and positive")
-            label = _normalize_label(row[NUM_FEATURES])
-            if label not in SPECIES:
-                raise ParseError(f"{path}:{lineno}: unknown species {row[NUM_FEATURES]!r}")
-            examples.append(LabeledExample(feats, label))
+    for row in csv.reader(lines):
+        if len(row) != NUM_FEATURES + 1:
+            raise ParseError(f"expected 5 columns, got {len(row)}")
+        feats = tuple(float(v) for v in row[:NUM_FEATURES])
+        if any(not math.isfinite(f) or f <= 0 for f in feats):
+            raise ValidationError("features must be finite and positive")
+        label = _normalize_label(row[NUM_FEATURES])
+        if label not in SPECIES:
+            raise ParseError(f"unknown species {row[NUM_FEATURES]!r}")
+        examples.append(LabeledExample(feats, label))
     if not examples:
-        raise ParseError(f"{path}: no data rows")
+        raise ParseError("no data rows")
     counts = {s: sum(1 for e in examples if e.class_label == s) for s in SPECIES}
     if any(c != EXAMPLES_PER_CLASS for c in counts.values()):
-        raise ValidationError(f"{path}: expected 50 examples per class, got {counts}")
+        raise ValidationError(f"expected 50 examples per class, got {counts}")
     return examples
 
 
-def encode(example: LabeledExample, spec: EncodingSpec) -> TestCase:
-    """Angle-encode one example into an initialization gate list + expected value."""
-    gates = []
-    for j, x in enumerate(example.features):
-        lo, hi = spec.mins[j], spec.maxs[j]
-        scaled = (min(max(x, lo), hi) - lo) / (hi - lo)  # clamp, then [0, 1]
-        gates.append(UGate(target=j, theta=math.pi * scaled, phi=0.0, lam=0.0))
-    return TestCase(expected=DEFAULT_CLASS_MAP[example.class_label], init_gates=tuple(gates))
-
-
-def encode_all(examples, spec: EncodingSpec | None = None) -> list[TestCase]:
-    if spec is None:
-        spec = EncodingSpec.from_examples(examples)
-    return [encode(e, spec) for e in examples]
+def encode_all(examples) -> list[TestCase]:
+    """Angle-encode examples, scaling each feature by its bounds over ``examples``."""
+    bounds = [(min(column), max(column)) for column in zip(*(e.features for e in examples))]
+    for j, (lo, hi) in enumerate(bounds):
+        if not lo < hi:
+            raise ValidationError(f"feature {j}: min {lo} must be < max {hi}")
+    cases = []
+    for example in examples:
+        gates = tuple(
+            UGate(target=j, theta=math.pi * ((x - lo) / (hi - lo)), phi=0.0, lam=0.0)
+            for j, (x, (lo, hi)) in enumerate(zip(example.features, bounds))
+        )
+        cases.append(TestCase(expected=DEFAULT_CLASS_MAP[example.class_label],
+                              init_gates=gates))
+    return cases
 
 
 def split(items, n_evolution: int, seed: int, stratified: bool = False,

@@ -1,9 +1,9 @@
 """Noise-config files and the shipped presets.
 
 File format: one ``key = value`` pair per line; keys are name, p1, p2,
-readout_flip_0to1, readout_flip_1to0.  Blank lines and lines starting with
-``#`` are ignored.  Ten presets spanning realistic noise intensities ship
-with the package and are addressable by name.
+readout_flip_0to1, readout_flip_1to0, and no others.  Blank lines and lines
+starting with ``#`` are ignored.  Ten presets spanning realistic noise
+intensities ship with the package and are addressable by name.
 """
 
 from __future__ import annotations
@@ -13,30 +13,33 @@ from pathlib import Path
 
 from .errors import ParseError, ValidationError
 from .noise import NoiseModel
-from .serialization import write_atomic
+from .serialization import decode_file, write_atomic
 
 _FLOAT_KEYS = ("p1", "p2", "readout_flip_0to1", "readout_flip_1to0")
 
 
-def parse_noise_config(text: str, source: str = "<string>") -> NoiseModel:
+def parse_noise_config(text: str) -> NoiseModel:
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ParseError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
+            raise ParseError(f"expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key != "name" and key not in _FLOAT_KEYS:
+            raise ParseError(f"unknown key {key!r}; keys are name, {', '.join(_FLOAT_KEYS)}")
+        values[key] = value.strip()
     missing = [k for k in _FLOAT_KEYS if k not in values]
     if missing:
-        raise ParseError(f"{source}: missing keys: {', '.join(missing)}")
+        raise ParseError(f"missing keys: {', '.join(missing)}")
     floats = {}
     for key in _FLOAT_KEYS:
         try:
             floats[key] = float(values[key])
         except ValueError:
-            raise ParseError(f"{source}: {key} is not a number: {values[key]!r}") from None
+            raise ParseError(f"{key} is not a number: {values[key]!r}") from None
     return NoiseModel(name=values.get("name", ""), **floats)
 
 
@@ -48,8 +51,7 @@ def write_noise_config(model: NoiseModel, path) -> None:
 
 
 def load_noise_file(path) -> NoiseModel:
-    path = Path(path)
-    return parse_noise_config(path.read_text(), source=str(path))
+    return decode_file(path, parse_noise_config)
 
 
 def preset_names() -> list[str]:
@@ -64,7 +66,7 @@ def load_preset(name: str) -> NoiseModel:
         raise ValidationError(
             f"unknown noise preset {name!r}; available: {', '.join(preset_names())}"
         )
-    return parse_noise_config(candidate.read_text(), source=f"preset:{name}")
+    return decode_file(str(candidate), parse_noise_config)
 
 
 def resolve_noise(spec: str | None) -> NoiseModel | None:

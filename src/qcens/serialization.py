@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .circuits import Circuit, CXGate, Gate, UGate
 from .ensemble import Ensemble, FitnessReport, TestCase
-from .errors import ParseError, ValidationError
+from .errors import ParseError, QcensError, ValidationError
 from .evolution import EvolutionConfig, Population
 
 POPULATION_FORMAT = "qcens-population-v1"
@@ -35,6 +35,38 @@ def write_atomic(path, text: str) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def decode_file(path, parse, by_line: bool = False):
+    """Return ``parse`` of the text of ``path``; every file reader goes through here.
+
+    ``parse`` gets the whole text or, with ``by_line``, an iterator over the
+    non-blank lines.  A decoding failure becomes a ``ParseError`` located at
+    ``path``, or ``path:line`` while a line is parsed; a ``QcensError`` keeps
+    its type and gains the location.  ``OSError`` passes through.
+    """
+    path = Path(path)
+    where = str(path)
+
+    def lines(text):
+        nonlocal where
+        for lineno, line in enumerate(text.split("\n"), start=1):
+            if line.strip():
+                where = f"{path}:{lineno}"
+                yield line
+        where = str(path)
+
+    try:
+        text = path.read_text()
+        return parse(lines(text) if by_line else text)
+    except QcensError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+    # ValueError includes UnicodeDecodeError and JSONDecodeError; the last three
+    # come from int(1e999), JSON nested too deep and CSV fields over 128 KiB.
+    except (ValueError, LookupError, TypeError, AttributeError,
+            OverflowError, RecursionError, csv.Error) as exc:
+        detail = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ParseError(f"{where}: {detail}") from None
 
 
 # --- gates and circuits ---
@@ -98,21 +130,13 @@ def write_test_cases(cases, path) -> None:
 
 
 def read_test_cases(path) -> list[TestCase]:
-    path = Path(path)
-    cases = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}:{lineno}: invalid JSON: {exc}") from None
-        try:
-            cases.append(test_case_from_obj(obj))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"{path}:{lineno}: bad test-case record: {exc}") from None
+    return decode_file(path, _test_cases_from_lines, by_line=True)
+
+
+def _test_cases_from_lines(lines) -> list[TestCase]:
+    cases = [test_case_from_obj(json.loads(line)) for line in lines]
     if not cases:
-        raise ParseError(f"{path}: no test cases")
+        raise ParseError("no test cases")
     return cases
 
 
@@ -131,10 +155,7 @@ def config_from_obj(obj: dict) -> EvolutionConfig:
     """Inverse of ``config_to_obj``; absent fields take the ``EvolutionConfig`` defaults."""
     obj = dict(obj)
     obj["shots"] = parse_eval_mode(obj.pop("eval_mode", "exact"))
-    try:
-        return EvolutionConfig(**obj)
-    except TypeError as exc:
-        raise ParseError(f"bad config field: {exc}") from None
+    return EvolutionConfig(**obj)
 
 
 def parse_eval_mode(mode: str) -> int | None:
@@ -154,12 +175,7 @@ def write_config(config: EvolutionConfig, path) -> None:
 
 
 def read_config(path) -> EvolutionConfig:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    return config_from_obj(obj)
+    return decode_file(path, lambda text: config_from_obj(json.loads(text)))
 
 
 # --- population files (JSON) ---
@@ -201,12 +217,7 @@ def write_population(population: Population, path) -> None:
 
 
 def read_population(path) -> Population:
-    path = Path(path)
-    try:
-        obj = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: invalid JSON: {exc}") from None
-    return population_from_obj(obj)
+    return decode_file(path, lambda text: population_from_obj(json.loads(text)))
 
 
 # --- result rows (CSV + aligned text table) ---

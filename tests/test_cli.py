@@ -9,6 +9,8 @@ from qcens.ensemble import Ensemble, FitnessReport, TestCase
 from qcens.evolution import Population
 from qcens.iris import bundled_dataset_path
 from qcens.serialization import (
+    config_to_obj,
+    population_to_obj,
     read_population,
     read_test_cases,
     result_rows_from_csv,
@@ -184,3 +186,76 @@ def test_encode_dataset_requires_output(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["encode-dataset", "--input", str(bundled_dataset_path())])
     assert excinfo.value.code == 2
+
+
+NOOP_POPULATION_OBJ = population_to_obj(Population(
+    (Ensemble((Circuit(4, (UGate(2, 0.0, 0.0, 0.0),), (0, 1)),)),),
+    (FitnessReport(1.0, (1.0,)),), 0))
+SMALL_CONFIG_OBJ = config_to_obj(EvolutionConfig(population_size=4, generations=1,
+                                                 tournament_size=2))
+GOOD_ROWS = "backend,n,median_het,median_hom,p_value,effect_r\nideal,3,0.8,0.7,0.001,0.9\n"
+GOOD_NOISE = "p1 = 0\np2 = 0\nreadout_flip_0to1 = 0\nreadout_flip_1to0 = 0\n"
+
+
+def edited_population(edit) -> str:
+    obj = json.loads(json.dumps(NOOP_POPULATION_OBJ))
+    edit(obj)
+    return json.dumps(obj)
+
+
+# (file role, file content): one malformed file per case; the other inputs are valid
+MALFORMED_FILES = [
+    pytest.param("population", edited_population(lambda o: o.pop("ensembles")),
+                 id="population-missing-ensembles"),
+    pytest.param("population", "[1, 2]", id="population-top-level-list"),
+    pytest.param("population",
+                 edited_population(lambda o: o["ensembles"][0][0]["gates"][0].pop("theta")),
+                 id="population-gate-without-theta"),
+    pytest.param("population", edited_population(lambda o: o.update(generation="x")),
+                 id="population-generation-x"),
+    pytest.param("config", json.dumps({**SMALL_CONFIG_OBJ, "eval_mode": 5}),
+                 id="config-eval-mode-5"),
+    pytest.param("config", "[1, 2]", id="config-top-level-list"),
+    pytest.param("config", json.dumps({**SMALL_CONFIG_OBJ, "num_qubits": "four"}),
+                 id="config-num-qubits-four"),
+    pytest.param("rows", GOOD_ROWS.replace("0.8", "abc"), id="rows-median-abc"),
+    pytest.param("rows", GOOD_ROWS.replace("ideal,3", "ideal,x"), id="rows-n-x"),
+    pytest.param("population", b"\xff\xfe{", id="population-non-utf8"),
+    pytest.param("tests", b"\xff\n", id="tests-non-utf8"),
+    pytest.param("rows", GOOD_ROWS.encode() + b"\xff\n", id="rows-non-utf8"),
+    pytest.param("dataset", b"5.1,3.5,1.4,0.2,Iris-setosa\n\xff\n", id="dataset-non-utf8"),
+    pytest.param("noise", GOOD_NOISE + "q = 1\n", id="noise-unknown-key"),
+]
+
+
+@pytest.mark.parametrize("role, content", MALFORMED_FILES)
+def test_malformed_file_exits_2_naming_the_file(role, content, tmp_path, capsys):
+    inputs = {"population": noop_population(tmp_path), "tests": tmp_path / "tests.jsonl",
+              "config": tmp_path / "config.json", "rows": tmp_path / "rows.csv",
+              "dataset": bundled_dataset_path(), "noise": tmp_path / "noise.txt"}
+    write_test_cases([TestCase(expected=0, features=(0.0,) * 4)], inputs["tests"])
+    inputs["config"].write_text(json.dumps(SMALL_CONFIG_OBJ))
+    inputs["rows"].write_text(GOOD_ROWS)
+    inputs["noise"].write_text(GOOD_NOISE)
+    bad = inputs[role] = tmp_path / f"malformed-{role}"
+    bad.write_bytes(content if isinstance(content, bytes) else content.encode())
+    out = tmp_path / "out"
+    evaluate = ["evaluate", "--population", inputs["population"], "--tests", inputs["tests"],
+                "--noise", inputs["noise"]]
+    argv = {
+        "population": evaluate, "tests": evaluate, "noise": evaluate,
+        "config": ["evolve", "--config", inputs["config"], "--tests", inputs["tests"],
+                   "--population", out / "pop.json"],
+        "rows": ["report", "--rows", inputs["rows"], "--out-csv", out / "rows.csv",
+                 "--out-table", out / "table.txt"],
+        "dataset": ["encode-dataset", "--input", inputs["dataset"],
+                    "--output", out / "cases.jsonl"],
+    }[role]
+    out.mkdir()
+    code = main([str(arg) for arg in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(f"error: {bad}")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not any(out.iterdir())

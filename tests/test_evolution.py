@@ -17,7 +17,7 @@ from qcens import (
 import qcens.ensemble as ensemble
 from qcens.ensemble import TestCase
 from qcens.evolution import random_ensemble
-from qcens.iris import EncodingSpec, bundled_dataset_path, encode_all, load_dataset, split
+from qcens.iris import bundled_dataset_path, encode_all, load_dataset, split
 from qcens.serialization import population_to_obj
 
 from test_vote import enumeration_vote_oracle
@@ -42,6 +42,12 @@ def test_config_validation():
         small_config(crossover_rate=1.5)
     with pytest.raises(ValidationError):
         small_config(tournament_size=9)
+    with pytest.raises(ValidationError):
+        small_config(num_qubits=0)
+    with pytest.raises(StructuralError):
+        small_config(measured_qubits=(0, 2))
+    with pytest.raises(ValidationError):
+        small_config(seed=-1)
 
 
 def test_random_circuit_forced_length():
@@ -198,7 +204,7 @@ def test_shots_mode_evolution_is_deterministic():
 def test_population_does_not_depend_on_vote_summation_order(monkeypatch):
     """The DP and the k**n enumeration differ in the last bits, not in selection."""
     dataset = load_dataset(bundled_dataset_path())
-    tests, _ = split(encode_all(dataset, EncodingSpec.from_examples(dataset)), 100, 0)
+    tests, _ = split(encode_all(dataset), 100, 0)
     config = EvolutionConfig(num_qubits=4, measured_qubits=(0, 1), population_size=20,
                              generations=30, ensemble_size=5, seed=0)
     by_dp = evolve(config, tests)

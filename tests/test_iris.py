@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from qcens.errors import ParseError, ValidationError
 from qcens.iris import (
-    EncodingSpec,
     LabeledExample,
     bundled_dataset_path,
-    encode,
     encode_all,
     load_dataset,
     split,
@@ -61,16 +59,19 @@ def test_load_wrong_class_counts(tmp_path):
         load_dataset(path)
 
 
-def test_encoding_spec_rejects_degenerate_bounds():
-    with pytest.raises(ValidationError):
-        EncodingSpec(mins=(0, 0, 0, 1), maxs=(1, 1, 1, 1))
+def test_encode_all_rejects_constant_feature_column():
+    examples = [LabeledExample((0.0, 0.0, 0.0, 1.0), "setosa"),
+                LabeledExample((1.0, 1.0, 1.0, 1.0), "virginica")]
+    with pytest.raises(ValidationError, match="feature 3"):
+        encode_all(examples)
 
 
 def test_encode_edges_and_midpoint():
-    spec = EncodingSpec(mins=(0.0,) * 4, maxs=(2.0,) * 4)
-    low = encode(LabeledExample((0.0, 0.0, 0.0, 0.0), "setosa"), spec)
-    high = encode(LabeledExample((2.0, 2.0, 2.0, 2.0), "virginica"), spec)
-    mid = encode(LabeledExample((1.0, 1.0, 1.0, 1.0), "versicolor"), spec)
+    low, high, mid = encode_all([
+        LabeledExample((0.0, 0.0, 0.0, 0.0), "setosa"),
+        LabeledExample((2.0, 2.0, 2.0, 2.0), "virginica"),
+        LabeledExample((1.0, 1.0, 1.0, 1.0), "versicolor"),
+    ])
     assert all(g.theta == 0.0 for g in low.init_gates)
     assert all(abs(g.theta - math.pi) < 1e-12 for g in high.init_gates)
     assert all(abs(g.theta - math.pi / 2) < 1e-12 for g in mid.init_gates)
@@ -82,24 +83,17 @@ def test_encode_edges_and_midpoint():
     np.testing.assert_allclose(run_ideal(Circuit(4, high.init_gates, (0,))), [0, 1], atol=1e-12)
 
 
-def test_encode_clamps_out_of_range_features():
-    spec = EncodingSpec(mins=(1.0,) * 4, maxs=(2.0,) * 4)
-    case = encode(LabeledExample((0.5, 3.0, 1.5, 1.5), "setosa"), spec)
-    assert case.init_gates[0].theta == 0.0
-    assert abs(case.init_gates[1].theta - math.pi) < 1e-12
-
-
 def test_encode_all_angles_in_range_and_monotone(dataset):
-    spec = EncodingSpec.from_examples(dataset)
-    cases = encode_all(dataset, spec)
+    cases = encode_all(dataset)
     assert len(cases) == 150
     for case in cases:
         assert case.expected in (0, 1, 2)  # never the invalid value 3
         for gate in case.init_gates:
+            assert type(gate.theta) is float
             assert 0.0 <= gate.theta <= math.pi
     # monotone per feature: sort examples by feature 2, angles must not decrease
-    order = sorted(dataset, key=lambda e: e.features[2])
-    thetas = [encode(e, spec).init_gates[2].theta for e in order]
+    order = sorted(range(len(dataset)), key=lambda i: dataset[i].features[2])
+    thetas = [cases[i].init_gates[2].theta for i in order]
     assert all(a <= b + 1e-12 for a, b in zip(thetas, thetas[1:]))
 
 

@@ -205,3 +205,7 @@ def test_noise_config_parse_errors():
         parse_noise_config("name = x\np1 = 0.1\n")
     with pytest.raises(ParseError, match="not a number"):
         parse_noise_config("p1 = oops\np2 = 0\nreadout_flip_0to1 = 0\nreadout_flip_1to0 = 0")
+    for extra in ("q = 1", "nmae = x"):
+        with pytest.raises(ParseError, match="unknown key .*keys are name, p1, p2"):
+            parse_noise_config("p1 = 0\np2 = 0\nreadout_flip_0to1 = 0\n"
+                               f"readout_flip_1to0 = 0\n{extra}\n")
