@@ -161,8 +161,11 @@ class Evaluator:
     """Evaluates ensemble fitness against a fixed test set.
 
     Precomputes initialization states once and caches per-circuit output
-    distributions, which pays off when the same circuit appears in many
-    ensembles (elites, homogeneous replicas).  ``shots=None`` keeps the exact
+    distributions (member laws) for two generations: the laws looked up since
+    the last ``next_generation()`` and those of the generation before, so a
+    circuit that appears in many ensembles (elites, homogeneous replicas) or
+    survives into the next generation is simulated once.  A circuit absent for
+    a whole generation is simulated again.  ``shots=None`` keeps the exact
     member distributions; otherwise each (test, member) pair degrades its
     distribution to a ``shots``-sample empirical estimate using an RNG stream
     derived from (seed, test index, member index), making results independent
@@ -183,6 +186,7 @@ class Evaluator:
         self._expected: np.ndarray = np.array([t.expected for t in self.tests])
         self._max_expected = int(self._expected.max())
         self._dist_cache: dict[Circuit, np.ndarray] = {}
+        self._previous: dict[Circuit, np.ndarray] = {}
 
     def _states_for(self, num_qubits: int) -> np.ndarray:
         if self._init_states is None:
@@ -193,19 +197,22 @@ class Evaluator:
             raise StructuralError("test cases were prepared for a different register width")
         return self._init_states
 
-    def clear_cache(self) -> None:
-        self._dist_cache.clear()
+    def next_generation(self) -> None:
+        """Keep only the laws looked up since the last call, as the previous generation."""
+        self._previous, self._dist_cache = self._dist_cache, {}
 
     def member_distributions(self, circuit: Circuit) -> np.ndarray:
         """Per-test output distributions for one circuit, shape (T, k)."""
-        cached = self._dist_cache.get(circuit)
-        if cached is not None:
-            return cached
-        states = self._states_for(circuit.num_qubits)
-        if self.noise is None:
-            dists = run_ideal(circuit, states)
-        else:
-            dists = run_noisy(circuit, states, self.noise)
+        dists = self._dist_cache.get(circuit)
+        if dists is not None:
+            return dists
+        dists = self._previous.get(circuit)
+        if dists is None:
+            states = self._states_for(circuit.num_qubits)
+            if self.noise is None:
+                dists = run_ideal(circuit, states)
+            else:
+                dists = run_noisy(circuit, states, self.noise)
         self._dist_cache[circuit] = dists
         return dists
 

@@ -218,7 +218,9 @@ def evolve(config: EvolutionConfig, evolution_tests,
 
 
 def _evaluate_all(evaluator: Evaluator, individuals) -> list[FitnessReport]:
-    evaluator.clear_cache()  # bound memory: circuits only repeat within a generation
+    # Laws of this generation and the one before stay cached: survivors are not
+    # simulated again, and memory is bounded by two generations' circuits.
+    evaluator.next_generation()
     return [evaluator.ensemble_fitness(e) for e in individuals]
 
 

@@ -1,9 +1,9 @@
 """Noise-config files and the shipped presets.
 
 File format: one ``key = value`` pair per line; keys are name, p1, p2,
-readout_flip_0to1, readout_flip_1to0, and no others.  Blank lines and lines
-starting with ``#`` are ignored.  Ten presets spanning realistic noise
-intensities ship with the package and are addressable by name.
+readout_flip_0to1, readout_flip_1to0, and no others, each at most once.
+Blank lines and lines starting with ``#`` are ignored.  Ten presets spanning
+realistic noise intensities ship with the package and are addressable by name.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ def parse_noise_config(text: str) -> NoiseModel:
         key = key.strip()
         if key != "name" and key not in _FLOAT_KEYS:
             raise ParseError(f"unknown key {key!r}; keys are name, {', '.join(_FLOAT_KEYS)}")
+        if key in values:
+            raise ParseError(f"repeated key {key!r}")
         values[key] = value.strip()
     missing = [k for k in _FLOAT_KEYS if k not in values]
     if missing:
@@ -44,6 +46,11 @@ def parse_noise_config(text: str) -> NoiseModel:
 
 
 def write_noise_config(model: NoiseModel, path) -> None:
+    """Refuses a name that would not read back unchanged."""
+    if model.name != model.name.strip() or len(model.name.splitlines()) > 1:
+        raise ValidationError(
+            f"noise model name must be one line without surrounding whitespace, "
+            f"got {model.name!r}")
     lines = [f"name = {model.name}"]
     for key in _FLOAT_KEYS:
         lines.append(f"{key} = {getattr(model, key)!r}")

@@ -69,6 +69,13 @@ def decode_file(path, parse, by_line: bool = False):
         raise ParseError(f"{where}: {detail}") from None
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` if it is a JSON integer; a float (even ``2.0``) or a bool is refused."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 # --- gates and circuits ---
 
 def gate_to_obj(gate: Gate) -> dict:
@@ -83,10 +90,10 @@ def gate_to_obj(gate: Gate) -> dict:
 def gate_from_obj(obj: dict) -> Gate:
     kind = obj.get("gate")
     if kind == "u":
-        return UGate(int(obj["target"]), float(obj["theta"]),
+        return UGate(_json_int(obj["target"], "target"), float(obj["theta"]),
                      float(obj["phi"]), float(obj["lambda"]))
     if kind == "cx":
-        return CXGate(int(obj["control"]), int(obj["target"]))
+        return CXGate(_json_int(obj["control"], "control"), _json_int(obj["target"], "target"))
     raise ParseError(f"unknown gate record: {obj!r}")
 
 
@@ -100,9 +107,9 @@ def circuit_to_obj(circuit: Circuit) -> dict:
 
 def circuit_from_obj(obj: dict) -> Circuit:
     return Circuit(
-        int(obj["num_qubits"]),
+        _json_int(obj["num_qubits"], "num_qubits"),
         tuple(gate_from_obj(g) for g in obj["gates"]),
-        tuple(int(q) for q in obj["measured_qubits"]),
+        tuple(_json_int(q, "measured qubit") for q in obj["measured_qubits"]),
     )
 
 
@@ -118,10 +125,10 @@ def test_case_to_obj(case: TestCase) -> dict:
 
 
 def test_case_from_obj(obj: dict) -> TestCase:
+    expected = _json_int(obj["expected"], "expected")
     if "features" in obj:
-        return TestCase(expected=int(obj["expected"]),
-                        features=tuple(float(f) for f in obj["features"]))
-    return TestCase(expected=int(obj["expected"]),
+        return TestCase(expected=expected, features=tuple(float(f) for f in obj["features"]))
+    return TestCase(expected=expected,
                     init_gates=tuple(gate_from_obj(g) for g in obj["init_gates"]))
 
 
@@ -142,6 +149,10 @@ def _test_cases_from_lines(lines) -> list[TestCase]:
 
 # --- evolution configs (JSON) ---
 
+_CONFIG_INT_FIELDS = ("num_qubits", "population_size", "generations", "ensemble_size",
+                      "gate_cap", "tournament_size", "seed")
+
+
 def config_to_obj(config: EvolutionConfig) -> dict:
     """Every ``EvolutionConfig`` field, with ``shots`` written as ``eval_mode``."""
     obj = asdict(config)
@@ -154,6 +165,11 @@ def config_to_obj(config: EvolutionConfig) -> dict:
 def config_from_obj(obj: dict) -> EvolutionConfig:
     """Inverse of ``config_to_obj``; absent fields take the ``EvolutionConfig`` defaults."""
     obj = dict(obj)
+    for key in _CONFIG_INT_FIELDS:
+        if key in obj:
+            _json_int(obj[key], key)
+    for q in obj.get("measured_qubits", ()):
+        _json_int(q, "measured qubit")
     obj["shots"] = parse_eval_mode(obj.pop("eval_mode", "exact"))
     return EvolutionConfig(**obj)
 
@@ -209,7 +225,7 @@ def population_from_obj(obj: dict) -> Population:
         for r in obj["fitnesses"]
     )
     config = config_from_obj(obj["config"]) if "config" in obj else None
-    return Population(individuals, fitnesses, int(obj["generation"]), config)
+    return Population(individuals, fitnesses, _json_int(obj["generation"], "generation"), config)
 
 
 def write_population(population: Population, path) -> None:

@@ -218,6 +218,8 @@ MALFORMED_FILES = [
     pytest.param("config", "[1, 2]", id="config-top-level-list"),
     pytest.param("config", json.dumps({**SMALL_CONFIG_OBJ, "num_qubits": "four"}),
                  id="config-num-qubits-four"),
+    pytest.param("config", json.dumps({**SMALL_CONFIG_OBJ, "generations": 1.5}),
+                 id="config-generations-float"),
     pytest.param("rows", GOOD_ROWS.replace("0.8", "abc"), id="rows-median-abc"),
     pytest.param("rows", GOOD_ROWS.replace("ideal,3", "ideal,x"), id="rows-n-x"),
     pytest.param("population", b"\xff\xfe{", id="population-non-utf8"),

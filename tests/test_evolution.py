@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qcens import (
+    Circuit,
     CXGate,
     EvolutionConfig,
     StructuralError,
@@ -15,10 +16,12 @@ from qcens import (
     random_circuit,
 )
 import qcens.ensemble as ensemble
-from qcens.ensemble import TestCase
+from qcens.ensemble import Ensemble, Evaluator, TestCase
 from qcens.evolution import random_ensemble
 from qcens.iris import bundled_dataset_path, encode_all, load_dataset, split
+from qcens.noisefiles import load_preset
 from qcens.serialization import population_to_obj
+from qcens.statevector import run_ideal
 
 from test_vote import enumeration_vote_oracle
 
@@ -211,3 +214,54 @@ def test_population_does_not_depend_on_vote_summation_order(monkeypatch):
     monkeypatch.setattr(ensemble, "_vote_batch", enumeration_vote_oracle)
     by_enumeration = evolve(config, tests)
     assert by_dp.individuals == by_enumeration.individuals
+
+
+IRIS_TESTS = split(encode_all(load_dataset(bundled_dataset_path())), 100, 0)[0][:20]
+
+
+@pytest.mark.parametrize("noise, shots", [(None, None), ("storm", None), (None, 100)],
+                         ids=["ideal", "storm", "shots-100"])
+def test_two_generation_cache_evolves_the_uncached_population(monkeypatch, noise, shots):
+    """Oracle: a cache emptied at every generation simulates every circuit again."""
+    config = EvolutionConfig(num_qubits=4, measured_qubits=(0, 1), population_size=12,
+                             generations=8, ensemble_size=3, gate_cap=6, seed=2, shots=shots)
+    model = load_preset(noise) if noise else None
+    cached = evolve(config, IRIS_TESTS, noise=model)
+
+    def forget_everything(self):
+        self._dist_cache, self._previous = {}, {}
+
+    monkeypatch.setattr(Evaluator, "next_generation", forget_everything)
+    assert population_to_obj(evolve(config, IRIS_TESTS, noise=model)) == \
+        population_to_obj(cached)
+
+
+def count_simulations(monkeypatch) -> list:
+    calls = []
+
+    def counting_run_ideal(circuit, states):
+        calls.append(circuit)
+        return run_ideal(circuit, states)
+
+    monkeypatch.setattr(ensemble, "run_ideal", counting_run_ideal)
+    return calls
+
+
+def test_circuit_in_consecutive_generations_is_simulated_once(monkeypatch):
+    calls = count_simulations(monkeypatch)
+    config = small_config(generations=6, crossover_rate=0.0, mutation_rate=0.0)
+    rng = np.random.default_rng(config.seed)
+    initial = {c for _ in range(config.population_size)
+               for c in random_ensemble(config, rng).circuits}
+    evolve(config, TRIVIAL_TEST)  # offspring are copies, so no circuit returns after a gap
+    assert sorted(map(repr, calls)) == sorted(map(repr, initial))
+
+
+def test_circuit_absent_for_a_generation_is_simulated_again(monkeypatch):
+    calls = count_simulations(monkeypatch)
+    a, b = (Circuit(2, (UGate(q, 1.0, 0.0, 0.0),), (0, 1)) for q in (0, 1))
+    evaluator = Evaluator(TRIVIAL_TEST)
+    for generation in ([a, a, b], [a], [a, b]):
+        evaluator.next_generation()
+        evaluator.ensemble_fitness(Ensemble(tuple(generation)))
+    assert calls == [a, b, b]  # a stays cached; b, absent from the middle generation, does not

@@ -1,8 +1,9 @@
 """Properties of the file formats in FORMATS.md.
 
 Valid files round-trip byte for byte.  Malformed files (arbitrary bytes, a
-required key dropped, a value swapped for one of another type) make the
-reader raise a ``QcensError`` and never any other exception.
+required key dropped or repeated, a value swapped for one of another type, an
+integer swapped for a float or a bool) make the reader raise a ``QcensError``
+and never any other exception.
 """
 
 import copy
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from qcens import Circuit, CXGate, EvolutionConfig, NoiseModel, UGate
 from qcens.ensemble import Ensemble, FitnessReport, TestCase
-from qcens.errors import ParseError, QcensError
+from qcens.errors import ParseError, QcensError, ValidationError
 from qcens.evolution import Population
 from qcens.iris import SPECIES, load_dataset
 from qcens.noisefiles import load_noise_file, write_noise_config
@@ -191,6 +192,19 @@ def test_noise_config_files_round_trip(path, model):
     assert path.read_bytes() == text
 
 
+@PROPERTY
+@given(model=st.builds(NoiseModel, unit, unit, unit, unit,
+                       name=st.text(st.characters(codec="ascii"), max_size=6)))
+def test_noise_config_names_round_trip_or_are_refused(tmp_path_factory, model):
+    path = tmp_path_factory.mktemp("names") / "noise.txt"
+    try:
+        write_noise_config(model, path)
+    except ValidationError:
+        assert not path.exists()
+        return
+    assert load_noise_file(path) == model
+
+
 @settings(deadline=None, max_examples=10)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_dataset_files_round_trip(path, seed):
@@ -226,13 +240,19 @@ def value_paths(obj, prefix=()):
 
 
 def json_edits(obj):
-    """Every edit of a JSON tree: each key dropped, each value set to null and to "x".
+    """Every edit of a JSON tree: each key dropped, each value set to null and to
+    "x", each integer set to 1.5 and to true.
 
     Yields (edited tree, the dropped key's path or None).
     """
     for where in value_paths(obj):
-        for edit in ("drop", None, "x"):
+        value = obj
+        for key in where:
+            value = value[key]
+        for edit in ("drop", None, "x", 1.5, True):
             if edit == "drop" and not isinstance(where[-1], str):
+                continue
+            if edit in (1.5, True) and type(value) is not int:
                 continue
             tree = copy.deepcopy(obj)
             parent = tree
@@ -301,10 +321,13 @@ def test_edited_noise_config_files_raise_qcens_errors(path, model, data):
     write_noise_config(model, path)
     lines = path.read_text().splitlines()
     index = data.draw(st.integers(1, len(lines) - 1))  # line 0 is the optional name
-    if data.draw(st.booleans()):
+    edit = data.draw(st.sampled_from(["drop", "x", "repeat"]))
+    if edit == "drop":
         del lines[index]
-    else:
+    elif edit == "x":
         lines[index] = lines[index].partition("=")[0] + "= x"
+    else:
+        lines.insert(index, lines[data.draw(st.integers(0, len(lines) - 1))])
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError):
         load_noise_file(path)

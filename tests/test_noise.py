@@ -209,3 +209,15 @@ def test_noise_config_parse_errors():
         with pytest.raises(ParseError, match="unknown key .*keys are name, p1, p2"):
             parse_noise_config("p1 = 0\np2 = 0\nreadout_flip_0to1 = 0\n"
                                f"readout_flip_1to0 = 0\n{extra}\n")
+    for repeated in ("p1 = 0", "p2 = 0.5", "name = a\nname = b"):
+        with pytest.raises(ParseError, match="repeated key '(p1|p2|name)'"):
+            parse_noise_config("p1 = 0\np2 = 0\nreadout_flip_0to1 = 0\n"
+                               f"readout_flip_1to0 = 0\n{repeated}\n")
+
+
+@pytest.mark.parametrize("name", ["a\nb", "a\rb", " a", "a\t"])
+def test_noise_config_writer_refuses_names_that_do_not_read_back(tmp_path, name):
+    path = tmp_path / "noise.txt"
+    with pytest.raises(ValidationError, match="name must be one line"):
+        write_noise_config(NoiseModel(0.01, 0.02, 0.03, 0.04, name=name), path)
+    assert not path.exists()
