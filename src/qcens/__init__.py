@@ -26,7 +26,7 @@ from .ensemble import (
 )
 from .errors import ParseError, QcensError, StructuralError, ValidationError
 from .evolution import EvolutionConfig, Population, crossover, evolve, mutate, random_circuit
-from .noise import ZERO_NOISE, NoiseModel, depolarize, run_noisy
+from .noise import ZERO_NOISE, NoiseModel, run_noisy
 from .noisefiles import load_preset, preset_names
 from .statevector import apply_cx, apply_u, run_ideal, sample_shots
 from .stats import MannWhitneyResult, mann_whitney, median
@@ -37,7 +37,7 @@ __all__ = [
     "ensemble_fitness", "replicate_homogeneous", "vote_distribution",
     "ParseError", "QcensError", "StructuralError", "ValidationError",
     "EvolutionConfig", "Population", "crossover", "evolve", "mutate", "random_circuit",
-    "ZERO_NOISE", "NoiseModel", "depolarize", "run_noisy",
+    "ZERO_NOISE", "NoiseModel", "run_noisy",
     "load_preset", "preset_names",
     "apply_cx", "apply_u", "run_ideal", "sample_shots",
     "MannWhitneyResult", "mann_whitney", "median",

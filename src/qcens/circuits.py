@@ -30,9 +30,6 @@ class UGate:
     phi: float
     lam: float
 
-    def qubits(self) -> tuple[int, ...]:
-        return (self.target,)
-
     def validate(self, num_qubits: int) -> None:
         if not 0 <= self.target < num_qubits:
             raise StructuralError(
@@ -49,9 +46,6 @@ class CXGate:
 
     control: int
     target: int
-
-    def qubits(self) -> tuple[int, ...]:
-        return (self.control, self.target)
 
     def validate(self, num_qubits: int) -> None:
         if self.control == self.target:

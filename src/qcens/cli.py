@@ -55,16 +55,11 @@ def cmd_compare(args) -> int:
     tests = ser.read_test_cases(args.tests)
     noise = resolve_noise(args.noise)
     row = compare_populations(het, hom, args.ensemble_size, tests, noise=noise)
-    output = ser.result_rows_to_csv([row])
     if args.append_to:
         path = Path(args.append_to)
-        if path.is_file():
-            rows = ser.decode_file(path, ser.result_rows_from_csv)
-            rows.append(row)
-            ser.write_atomic(path, ser.result_rows_to_csv(rows))
-        else:
-            ser.write_atomic(path, output)
-    print(output, end="")
+        rows = ser.decode_file(path, ser.result_rows_from_csv) if path.is_file() else []
+        ser.write_atomic(path, ser.result_rows_to_csv([*rows, row]))
+    print(ser.result_rows_to_csv([row]), end="")
     return 0
 
 
@@ -85,9 +80,8 @@ def cmd_encode_dataset(args) -> int:
     if args.evolution_out or args.evaluation_out:
         if not (args.evolution_out and args.evaluation_out):
             raise QcensError("--evolution-out and --evaluation-out must be given together")
-        evo, eva = split(cases, args.n_evolution, args.seed or 0,
-                         stratified=args.stratified,
-                         labels=[e.class_label for e in dataset])
+        labels = [e.class_label for e in dataset] if args.stratified else None
+        evo, eva = split(cases, args.n_evolution, args.seed or 0, labels=labels)
         ser.write_test_cases(evo, args.evolution_out)
         ser.write_test_cases(eva, args.evaluation_out)
     else:

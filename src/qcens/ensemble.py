@@ -16,10 +16,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import Circuit
+from .circuits import Circuit, UGate
 from .errors import StructuralError, ValidationError
 from .noise import NoiseModel, run_noisy
-from .statevector import run_ideal, sample_shots, state_from_angles, evolve_state, zero_state
+from .statevector import evolve_state, run_ideal, sample_shots, zero_state
 
 # Ensemble fitness is reported rounded to this many decimals.  Fitnesses that
 # are equal in exact arithmetic but differ in their last bits, by the summation
@@ -61,9 +61,10 @@ class Ensemble:
 class TestCase:
     """Register initialization plus the expected output value.
 
-    ``features`` holds one rotation angle per qubit (the register is prepared
-    as a product of single-qubit Y rotations); ``init_gates`` holds an explicit
-    initialization gate list.  Exactly one of the two must be given.
+    ``features`` holds one rotation angle per qubit, shorthand for the gates
+    U(a_j, 0, 0) on qubit j; ``init_gates`` holds an explicit initialization
+    gate list.  Exactly one of the two must be given; both prepare the
+    register by running their gates on |0...0>.
     """
 
     __test__ = False  # keep pytest from collecting this dataclass
@@ -83,14 +84,15 @@ class TestCase:
             raise ValidationError(f"expected output must be >= 0, got {self.expected}")
 
     def init_state(self, num_qubits: int) -> np.ndarray:
+        gates = self.init_gates
         if self.features is not None:
             if len(self.features) != num_qubits:
                 raise StructuralError(
                     f"test case has {len(self.features)} features "
                     f"but the register has {num_qubits} qubits"
                 )
-            return state_from_angles(self.features)
-        init_circuit = Circuit(num_qubits, self.init_gates, tuple(range(num_qubits)))
+            gates = tuple(UGate(j, a, 0.0, 0.0) for j, a in enumerate(self.features))
+        init_circuit = Circuit(num_qubits, gates, tuple(range(num_qubits)))
         return evolve_state(init_circuit, zero_state(num_qubits))
 
 
@@ -179,6 +181,8 @@ class Evaluator:
             raise ValidationError("test list must be non-empty")
         if shots is not None and shots < 1:
             raise ValidationError(f"shots must be >= 1, got {shots}")
+        if seed < 0:
+            raise ValidationError("seed must be >= 0")
         self.noise = noise
         self.shots = shots
         self.seed = seed

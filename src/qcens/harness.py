@@ -55,9 +55,7 @@ def evaluate_population(individuals, tests, noise: NoiseModel | None = None,
 
 
 def compare_populations(het: Population, hom_base: Population, n: int, tests,
-                        noise: NoiseModel | None = None,
-                        backend_name: str | None = None,
-                        shots: int | None = None, seed: int = 0) -> ResultRow:
+                        noise: NoiseModel | None = None) -> ResultRow:
     """Heterogeneous population vs. size-1 circuits replicated to size n."""
     het_sizes = {len(e) for e in het.individuals}
     if het_sizes != {n}:
@@ -65,14 +63,11 @@ def compare_populations(het: Population, hom_base: Population, n: int, tests,
     if {len(e) for e in hom_base.individuals} != {1}:
         raise ValidationError("homogeneous base population must have ensemble size 1")
     hom = [replicate_homogeneous(e.circuits[0], n) for e in hom_base.individuals]
-    fits = evaluate_population([*het.individuals, *hom], tests, noise=noise,
-                               shots=shots, seed=seed)
+    fits = evaluate_population([*het.individuals, *hom], tests, noise=noise)
     het_fits, hom_fits = fits[:len(het.individuals)], fits[len(het.individuals):]
     result = mann_whitney(het_fits, hom_fits)
-    if backend_name is None:
-        backend_name = noise.name if noise is not None else "ideal"
     return ResultRow(
-        backend_name=backend_name,
+        backend_name=noise.name if noise is not None else "ideal",
         ensemble_size=n,
         median_het=median(het_fits),
         median_hom=median(hom_fits),

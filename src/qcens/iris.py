@@ -90,22 +90,28 @@ def encode_all(examples) -> list[TestCase]:
     return cases
 
 
-def split(items, n_evolution: int, seed: int, stratified: bool = False,
-          labels=None) -> tuple[list, list]:
-    """Random partition into (evolution, evaluation) sets, deterministic per seed."""
+def split(items, n_evolution: int, seed: int, labels=None) -> tuple[list, list]:
+    """Random partition into (evolution, evaluation) sets, deterministic per seed.
+
+    With ``labels`` (one per item) the split is stratified: each label gets an
+    equal share of the evolution set, the first labels in sorted order one
+    more when the shares do not divide evenly.
+    """
     items = list(items)
     total = len(items)
     if not 0 < n_evolution < total:
         raise ValidationError(
             f"n_evolution must be in (0, {total}), got {n_evolution}"
         )
+    if seed < 0:
+        raise ValidationError("seed must be >= 0")
+    if labels is not None and len(labels) != total:
+        raise ValidationError(f"{len(labels)} labels for {total} items")
     rng = np.random.default_rng(seed)
-    if not stratified:
+    if labels is None:
         order = rng.permutation(total)
         chosen = set(order[:n_evolution].tolist())
     else:
-        if labels is None:
-            labels = [getattr(it, "class_label") for it in items]
         chosen = set()
         by_label: dict = {}
         for i, lab in enumerate(labels):

@@ -44,11 +44,6 @@ class NoiseModel:
 ZERO_NOISE = NoiseModel(0.0, 0.0, 0.0, 0.0, name="zero")
 
 
-def density_from_state(state: np.ndarray) -> np.ndarray:
-    """|psi><psi| for a state (or batch of states)."""
-    return np.einsum("...i,...j->...ij", state, np.conj(state))
-
-
 def _apply_u_rho(rho: np.ndarray, n: int, target: int, mat: np.ndarray,
                  spare: np.ndarray, half: np.ndarray) -> None:
     """rho <- U rho U^dagger in place on n qubits; ``spare`` and ``half`` are scratch."""
@@ -62,33 +57,6 @@ def _apply_u_rho(rho: np.ndarray, n: int, target: int, mat: np.ndarray,
             np.multiply(src[..., 0, :], m[i, 0], out=dst[..., i, :])
             np.multiply(src[..., 1, :], m[i, 1], out=scratch)
             dst[..., i, :] += scratch
-
-
-def depolarize(rho: np.ndarray, qubits, p: float) -> np.ndarray:
-    """Depolarizing channel on the listed qubits.
-
-    rho <- (1 - p) * rho + p * (partial trace over the qubits, re-embedded
-    with the maximally mixed state on them).  Trace preserving.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValidationError(f"depolarizing probability must be in [0, 1], got {p}")
-    qubits = tuple(qubits)
-    if len(set(qubits)) != len(qubits):
-        raise StructuralError(f"depolarize qubits not distinct: {qubits}")
-    dim = rho.shape[-1]
-    n = dim.bit_length() - 1
-    if rho.shape[-2] != dim or dim != 1 << n:
-        raise StructuralError(f"density matrix has bad shape {rho.shape[-2:]}")
-    if n > MAX_DENSITY_QUBITS:
-        raise ValidationError(f"density-matrix register capped at {MAX_DENSITY_QUBITS} qubits")
-    for q in qubits:
-        if not 0 <= q < n:
-            raise StructuralError(f"depolarize qubit {q} out of range for {n} qubits")
-    if p == 0.0 or not qubits:
-        return rho
-    out = rho.copy()
-    _depolarize_in_place(out, n, qubits, p)
-    return out
 
 
 def _depolarize_in_place(rho: np.ndarray, n: int, qubits: tuple[int, ...], p: float) -> None:
@@ -118,18 +86,6 @@ def _readout_matrix(m: int, flip_0to1: float, flip_1to0: float) -> np.ndarray:
     return reduce(np.kron, [bit] * m, np.eye(1))
 
 
-def apply_readout_error(dist: np.ndarray, flip_0to1: float, flip_1to0: float) -> np.ndarray:
-    """Independent classical bit-flips on each measured bit of a distribution."""
-    for p in (flip_0to1, flip_1to0):
-        if not 0.0 <= p <= 1.0:
-            raise ValidationError(f"readout flip probability must be in [0, 1], got {p}")
-    k = dist.shape[-1]
-    m = k.bit_length() - 1
-    if k != 1 << m:
-        raise StructuralError(f"distribution length {k} is not a power of two")
-    return dist @ _readout_matrix(m, flip_0to1, flip_1to0).T
-
-
 def run_noisy(circuit: Circuit, init: np.ndarray | None = None,
               noise: NoiseModel = ZERO_NOISE) -> np.ndarray:
     """Output distribution under depolarizing gate noise and readout error.
@@ -149,7 +105,8 @@ def run_noisy(circuit: Circuit, init: np.ndarray | None = None,
         raise StructuralError(
             f"init dimension {init.shape[-1]} does not match {n}-qubit circuit"
         )
-    rho = density_from_state(np.asarray(init, dtype=np.complex128))
+    init = np.asarray(init, dtype=np.complex128)
+    rho = np.einsum("...i,...j->...ij", init, np.conj(init))  # |init><init|
     # gates update rho in place, with these two buffers as scratch: full-size
     # temporaries per gate would make the allocator return and re-fault memory
     spare = np.empty_like(rho)

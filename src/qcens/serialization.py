@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -76,6 +77,13 @@ def _json_int(value, what: str) -> int:
     return value
 
 
+def _json_float(value, what: str) -> float:
+    """``value`` as a float if it is a JSON number; a string or a bool is refused."""
+    if type(value) not in (int, float):
+        raise ParseError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 # --- gates and circuits ---
 
 def gate_to_obj(gate: Gate) -> dict:
@@ -90,8 +98,8 @@ def gate_to_obj(gate: Gate) -> dict:
 def gate_from_obj(obj: dict) -> Gate:
     kind = obj.get("gate")
     if kind == "u":
-        return UGate(_json_int(obj["target"], "target"), float(obj["theta"]),
-                     float(obj["phi"]), float(obj["lambda"]))
+        return UGate(_json_int(obj["target"], "target"),
+                     *(_json_float(obj[key], key) for key in ("theta", "phi", "lambda")))
     if kind == "cx":
         return CXGate(_json_int(obj["control"], "control"), _json_int(obj["target"], "target"))
     raise ParseError(f"unknown gate record: {obj!r}")
@@ -127,7 +135,8 @@ def test_case_to_obj(case: TestCase) -> dict:
 def test_case_from_obj(obj: dict) -> TestCase:
     expected = _json_int(obj["expected"], "expected")
     if "features" in obj:
-        return TestCase(expected=expected, features=tuple(float(f) for f in obj["features"]))
+        return TestCase(expected=expected,
+                        features=tuple(_json_float(f, "feature") for f in obj["features"]))
     return TestCase(expected=expected,
                     init_gates=tuple(gate_from_obj(g) for g in obj["init_gates"]))
 
@@ -151,6 +160,7 @@ def _test_cases_from_lines(lines) -> list[TestCase]:
 
 _CONFIG_INT_FIELDS = ("num_qubits", "population_size", "generations", "ensemble_size",
                       "gate_cap", "tournament_size", "seed")
+_CONFIG_FLOAT_FIELDS = ("crossover_rate", "mutation_rate", "elite_fraction", "angle_sigma")
 
 
 def config_to_obj(config: EvolutionConfig) -> dict:
@@ -168,6 +178,9 @@ def config_from_obj(obj: dict) -> EvolutionConfig:
     for key in _CONFIG_INT_FIELDS:
         if key in obj:
             _json_int(obj[key], key)
+    for key in _CONFIG_FLOAT_FIELDS:
+        if key in obj:
+            obj[key] = _json_float(obj[key], key)
     for q in obj.get("measured_qubits", ()):
         _json_int(q, "measured qubit")
     obj["shots"] = parse_eval_mode(obj.pop("eval_mode", "exact"))
@@ -175,14 +188,11 @@ def config_from_obj(obj: dict) -> EvolutionConfig:
 
 
 def parse_eval_mode(mode: str) -> int | None:
-    """'exact' -> None; 'shots:<count>' -> count."""
+    """'exact' -> None; 'shots:<count>' -> count, written in ASCII digits without a leading 0."""
     if mode == "exact":
         return None
-    if mode.startswith("shots:"):
-        try:
-            return int(mode.split(":", 1)[1])
-        except ValueError:
-            pass
+    if re.fullmatch(r"shots:[1-9][0-9]*", mode):
+        return int(mode[len("shots:"):])
     raise ParseError(f"eval mode must be 'exact' or 'shots:<count>', got {mode!r}")
 
 
@@ -221,7 +231,8 @@ def population_from_obj(obj: dict) -> Population:
         for members in obj["ensembles"]
     )
     fitnesses = tuple(
-        FitnessReport(float(r["fitness"]), tuple(float(p) for p in r["per_test"]))
+        FitnessReport(_json_float(r["fitness"], "fitness"),
+                      tuple(_json_float(p, "per_test") for p in r["per_test"]))
         for r in obj["fitnesses"]
     )
     config = config_from_obj(obj["config"]) if "config" in obj else None

@@ -41,17 +41,6 @@ def zero_state(num_qubits: int) -> np.ndarray:
     return state
 
 
-def state_from_angles(angles) -> np.ndarray:
-    """Product state with qubit j rotated by U(angle_j, 0, 0) from |0>."""
-    state = np.array([1.0 + 0j])
-    for angle in angles:  # later qubits become higher-order bits
-        if not math.isfinite(angle):
-            raise ValidationError(f"non-finite initialization angle: {angle!r}")
-        qubit = np.array([math.cos(angle / 2.0), math.sin(angle / 2.0)], dtype=np.complex128)
-        state = np.kron(qubit, state)
-    return state
-
-
 @lru_cache(maxsize=None)
 def _pair_indices(num_qubits: int, target: int) -> tuple[np.ndarray, np.ndarray]:
     """Basis indices with target bit 0, and the partners with target bit 1."""
@@ -123,12 +112,6 @@ def _value_map(num_qubits: int, measured_qubits: tuple[int, ...]) -> np.ndarray:
     return (values[:, None] == np.arange(1 << len(measured_qubits))).astype(np.float64)
 
 
-def marginal_distribution(probs: np.ndarray, num_qubits: int,
-                          measured_qubits: tuple[int, ...]) -> np.ndarray:
-    """Sum basis-state probabilities grouped by measured-bit pattern."""
-    return probs @ _value_map(num_qubits, tuple(measured_qubits))
-
-
 def run_ideal(circuit: Circuit, init: np.ndarray | None = None) -> np.ndarray:
     """Exact output distribution over the measured qubits.
 
@@ -137,9 +120,8 @@ def run_ideal(circuit: Circuit, init: np.ndarray | None = None) -> np.ndarray:
     """
     if init is None:
         init = zero_state(circuit.num_qubits)
-    state = evolve_state(circuit, init)
-    probs = np.abs(state) ** 2
-    return marginal_distribution(probs, circuit.num_qubits, circuit.measured_qubits)
+    probs = np.abs(evolve_state(circuit, init)) ** 2
+    return probs @ _value_map(circuit.num_qubits, circuit.measured_qubits)
 
 
 def sample_shots(dist: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:

@@ -1,6 +1,5 @@
 import json
 
-import numpy as np
 import pytest
 
 from qcens import Circuit, EvolutionConfig, UGate
@@ -180,6 +179,29 @@ def test_encode_dataset_split_files(tmp_path):
                  "--n-evolution", "100", "--seed", "4"]) == 0
     assert len(read_test_cases(evo)) == 100
     assert len(read_test_cases(eva)) == 50
+
+
+@pytest.mark.parametrize("stratified", [[], ["--stratified"]], ids=["random", "stratified"])
+def test_encode_dataset_negative_seed_exits_2(tmp_path, capsys, stratified):
+    code = main(["encode-dataset", "--input", str(bundled_dataset_path()),
+                 "--evolution-out", str(tmp_path / "evo.jsonl"),
+                 "--evaluation-out", str(tmp_path / "eva.jsonl"), "--seed", "-1", *stratified])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: seed must be >= 0\n"
+    assert not any(tmp_path.iterdir())
+
+
+def test_evaluate_negative_seed_exits_2(tmp_path, capsys):
+    population = noop_population(tmp_path)
+    tests = tmp_path / "tests.jsonl"
+    write_test_cases([TestCase(expected=0, features=(0.0,) * 4)], tests)
+    code = main(["evaluate", "--population", str(population), "--tests", str(tests),
+                 "--mode", "shots:10", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: seed must be >= 0\n"
+    assert captured.out == ""
 
 
 def test_encode_dataset_requires_output(capsys):

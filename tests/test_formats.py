@@ -2,8 +2,8 @@
 
 Valid files round-trip byte for byte.  Malformed files (arbitrary bytes, a
 required key dropped or repeated, a value swapped for one of another type, an
-integer swapped for a float or a bool) make the reader raise a ``QcensError``
-and never any other exception.
+integer swapped for a float or a bool, a float swapped for a numeric string or
+a bool) make the reader raise a ``QcensError`` and never any other exception.
 """
 
 import copy
@@ -241,7 +241,8 @@ def value_paths(obj, prefix=()):
 
 def json_edits(obj):
     """Every edit of a JSON tree: each key dropped, each value set to null and to
-    "x", each integer set to 1.5 and to true.
+    "x", each integer set to 1.5 and to true, each float set to its own digits
+    as a string and to true.
 
     Yields (edited tree, the dropped key's path or None).
     """
@@ -249,10 +250,13 @@ def json_edits(obj):
         value = obj
         for key in where:
             value = value[key]
-        for edit in ("drop", None, "x", 1.5, True):
+        edits = ["drop", None, "x"]
+        if type(value) is int:
+            edits += [1.5, True]
+        elif type(value) is float:
+            edits += [repr(value), True]
+        for edit in edits:
             if edit == "drop" and not isinstance(where[-1], str):
-                continue
-            if edit in (1.5, True) and type(value) is not int:
                 continue
             tree = copy.deepcopy(obj)
             parent = tree

@@ -29,6 +29,12 @@ def test_plan_requires_size_one_for_baselines(tmp_path):
     small_plan(tmp_path, ensemble_sizes=(1,))  # size 1 alone is fine
 
 
+def test_negative_plan_seed_is_refused_before_anything_is_written(tmp_path):
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        run_experiment(small_plan(tmp_path, seed=-1))
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_experiment_writes_artifacts(tmp_path):
     plan = small_plan(tmp_path)
     result = run_experiment(plan)

@@ -128,8 +128,19 @@ def test_split_partition_property(seed, n):
 
 
 def test_stratified_split(dataset):
-    evo, eva = split(dataset, 99, seed=2, stratified=True)
+    evo, eva = split(dataset, 99, seed=2, labels=[e.class_label for e in dataset])
     counts = {}
     for e in evo:
         counts[e.class_label] = counts.get(e.class_label, 0) + 1
     assert counts == {"setosa": 33, "versicolor": 33, "virginica": 33}
+
+
+def test_split_refuses_labels_that_do_not_match_the_items():
+    for labels in (["a"] * 9, ["a"] * 11):
+        with pytest.raises(ValidationError, match="labels for 10 items"):
+            split(range(10), 5, seed=0, labels=labels)
+
+
+def test_split_refuses_negative_seed():
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        split(range(10), 5, seed=-1)

@@ -76,6 +76,14 @@ def test_eval_mode_parsing():
         parse_eval_mode("fuzzy")
 
 
+@pytest.mark.parametrize("mode", ["shots: 5", "shots:+5", "shots:1_000", "shots:007",
+                                  "shots:\u0665", "shots:0", "shots:5 ", "shots:5\n",
+                                  "shots:", "Shots:5", " exact"])
+def test_eval_mode_refuses_counts_that_would_not_write_back(mode):
+    with pytest.raises(ParseError, match="eval mode"):
+        parse_eval_mode(mode)
+
+
 def test_config_obj_stable():
     config = EvolutionConfig()
     assert config_from_obj(config_to_obj(config)) == config

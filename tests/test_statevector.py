@@ -11,7 +11,6 @@ from qcens.statevector import (
     apply_u,
     run_ideal,
     sample_shots,
-    state_from_angles,
     u_matrix,
     zero_state,
 )
@@ -109,7 +108,7 @@ def test_u_matrix_is_unitary(theta, phi, lam):
 @given(theta=angles, phi=angles, lam=angles, init_angle=angles)
 def test_u_inverse_parameterization(theta, phi, lam, init_angle):
     # U(theta, phi, lam)^(-1) = U(-theta, -lam, -phi)
-    state = state_from_angles([init_angle])
+    state = apply_u(zero_state(1), 0, init_angle, 0, 0)
     forward = apply_u(state, 0, theta, phi, lam)
     back = apply_u(forward, 0, -theta, -lam, -phi)
     np.testing.assert_allclose(back, state, atol=1e-10)

@@ -15,9 +15,10 @@ from qcens import (
     replicate_homogeneous,
     vote_distribution,
 )
-from qcens.ensemble import TestCase, _vote_batch
+from qcens.ensemble import Evaluator, TestCase, _vote_batch
+from qcens.noisefiles import load_preset
 
-from conftest import bell_circuit, tv_distance
+from conftest import bell_circuit, random_test_circuit, tv_distance
 
 
 def enumeration_vote_matrix(k, n):
@@ -249,3 +250,40 @@ def test_test_case_requires_exactly_one_init_form():
         TestCase(expected=0)
     with pytest.raises(ValidationError):
         TestCase(expected=0, features=(0.0,), init_gates=(UGate(0, 0, 0, 0),))
+
+
+def test_features_prepare_the_product_of_y_rotations(rng):
+    # FORMATS.md: qubit j holds U(a_j, 0, 0)|0> = cos(a_j/2)|0> + sin(a_j/2)|1>
+    for _ in range(20):
+        angles = rng.uniform(-2 * math.pi, 2 * math.pi, 4)
+        product = np.array([1.0])
+        for a in angles:  # later qubits are higher-order bits
+            product = np.kron([math.cos(a / 2), math.sin(a / 2)], product)
+        state = TestCase(expected=0, features=tuple(angles)).init_state(4)
+        np.testing.assert_allclose(state, product, rtol=0, atol=1e-15)
+
+
+def test_features_case_and_its_init_gates_twin_score_the_same(rng):
+    cases = [TestCase(expected=int(rng.integers(4)), features=tuple(rng.uniform(0, math.pi, 4)))
+             for _ in range(12)]
+    twins = [TestCase(expected=c.expected,
+                      init_gates=tuple(UGate(j, a, 0.0, 0.0) for j, a in enumerate(c.features)))
+             for c in cases]
+    members = tuple(Circuit(4, random_test_circuit(rng, 4).gates, (0, 1)) for _ in range(3))
+    for noise in (None, load_preset("storm")):
+        assert (ensemble_fitness(Ensemble(members), cases, noise=noise)
+                == ensemble_fitness(Ensemble(members), twins, noise=noise))
+
+
+def test_non_finite_feature_is_refused_at_evaluation():
+    case = TestCase(expected=0, features=(0.0, math.nan))
+    with pytest.raises(ValidationError, match="not finite"):
+        ensemble_fitness(Ensemble((bell_circuit(),)), [case])
+    with pytest.raises(StructuralError, match="3 features"):
+        ensemble_fitness(Ensemble((bell_circuit(),)),
+                         [TestCase(expected=0, features=(0.0, 0.0, 0.0))])
+
+
+def test_evaluator_refuses_negative_seed():
+    with pytest.raises(ValidationError, match="seed must be >= 0"):
+        Evaluator([TestCase(expected=0, features=(0.0, 0.0))], shots=10, seed=-1)
