@@ -64,11 +64,15 @@ def cmd_compare(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = ser.decode_file(args.rows, ser.result_rows_from_csv)
-    # ideal first, then noise backends in file order
-    rows.sort(key=lambda r: (r.backend_name != "ideal",))
-    ser.write_atomic(args.out_csv, ser.result_rows_to_csv(rows))
-    table = ser.result_table_text(rows)
+    def render(text):
+        rows = ser.result_rows_from_csv(text)
+        # ideal first, then noise backends in file order
+        rows.sort(key=lambda r: (r.backend_name != "ideal",))
+        return ser.result_rows_to_csv(rows), ser.result_table_text(rows)
+
+    # both outputs are built, and a duplicate row refused, before either is written
+    csv_text, table = ser.decode_file(args.rows, render)
+    ser.write_atomic(args.out_csv, csv_text)
     ser.write_atomic(args.out_table, table)
     print(table, end="")
     return 0
@@ -77,15 +81,13 @@ def cmd_report(args) -> int:
 def cmd_encode_dataset(args) -> int:
     dataset = load_dataset(args.input)
     cases = encode_all(dataset)
-    if args.evolution_out or args.evaluation_out:
-        if not (args.evolution_out and args.evaluation_out):
-            raise QcensError("--evolution-out and --evaluation-out must be given together")
-        labels = [e.class_label for e in dataset] if args.stratified else None
-        evo, eva = split(cases, args.n_evolution, args.seed or 0, labels=labels)
-        ser.write_test_cases(evo, args.evolution_out)
-        ser.write_test_cases(eva, args.evaluation_out)
-    else:
+    if args.output:
         ser.write_test_cases(cases, args.output)
+        return 0
+    labels = [e.class_label for e in dataset] if args.stratified else None
+    evo, eva = split(cases, args.n_evolution, args.seed or 0, labels=labels)
+    ser.write_test_cases(evo, args.evolution_out)
+    ser.write_test_cases(eva, args.evaluation_out)
     return 0
 
 
@@ -146,9 +148,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "encode-dataset" and not (
-        args.output or args.evolution_out or args.evaluation_out
+        (args.output and not (args.evolution_out or args.evaluation_out or args.stratified))
+        or (not args.output and args.evolution_out and args.evaluation_out)
     ):
-        parser.error("encode-dataset needs --output or --evolution-out/--evaluation-out")
+        parser.error("encode-dataset takes either --output, or --evolution-out and "
+                     "--evaluation-out with an optional --stratified")
     try:
         return args.func(args)
     except (QcensError, OSError) as exc:  # readers raise OSError for missing files

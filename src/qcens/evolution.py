@@ -54,8 +54,8 @@ class EvolutionConfig:
                 raise ValidationError(f"{name} must be in [0, 1], got {value}")
         if not 1 <= self.tournament_size <= self.population_size:
             raise ValidationError("tournament_size must be in [1, population_size]")
-        if self.angle_sigma < 0.0:
-            raise ValidationError("angle_sigma must be >= 0")
+        if not 0.0 <= self.angle_sigma < math.inf:
+            raise ValidationError(f"angle_sigma must be finite and >= 0, got {self.angle_sigma}")
         if self.shots is not None and self.shots < 1:
             raise ValidationError("shots must be >= 1")
         if self.seed < 0:

@@ -35,7 +35,6 @@ class ExperimentPlan:
     noise_names: tuple[str, ...] = ()  # empty = ideal evaluation only
     output_dir: str = "results"
     seed: int = 0
-    dataset_path: str | None = None  # None = bundled Iris file
     n_evolution: int = 100
 
     def __post_init__(self) -> None:
@@ -84,9 +83,9 @@ class ExperimentResult:
     evaluation_tests: list
 
 
-def run_experiment(plan: ExperimentPlan, log=None) -> ExperimentResult:
+def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
     """Evolve all sizes, compare against homogeneous baselines, write artifacts."""
-    dataset = load_dataset(plan.dataset_path or bundled_dataset_path())
+    dataset = load_dataset(bundled_dataset_path())
     cases = encode_all(dataset)
     evolution_tests, evaluation_tests = split(cases, plan.n_evolution, plan.seed)
 
@@ -96,9 +95,7 @@ def run_experiment(plan: ExperimentPlan, log=None) -> ExperimentResult:
     populations: dict[int, Population] = {}
     for size in plan.ensemble_sizes:
         config = replace(plan.base_config, ensemble_size=size, seed=plan.seed)
-        if log:
-            log(f"evolving ensemble size {size} (seed {plan.seed})")
-        population = evolve(config, evolution_tests, log=log)
+        population = evolve(config, evolution_tests)
         populations[size] = population
         write_population(population, out_dir / f"population_n{size}_seed{plan.seed}.json")
 

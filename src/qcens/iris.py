@@ -25,9 +25,8 @@ from .errors import ParseError, ValidationError
 from .serialization import decode_file
 
 NUM_FEATURES = 4
-SPECIES = ("setosa", "versicolor", "virginica")
 DEFAULT_CLASS_MAP = {"setosa": 0, "versicolor": 1, "virginica": 2}
-INVALID_CLASS_VALUE = 3
+SPECIES = tuple(DEFAULT_CLASS_MAP)
 EXAMPLES_PER_CLASS = 50
 
 
@@ -95,7 +94,8 @@ def split(items, n_evolution: int, seed: int, labels=None) -> tuple[list, list]:
 
     With ``labels`` (one per item) the split is stratified: each label gets an
     equal share of the evolution set, the first labels in sorted order one
-    more when the shares do not divide evenly.
+    more when the shares do not divide evenly.  Without, every item shares
+    one label.
     """
     items = list(items)
     total = len(items)
@@ -105,22 +105,20 @@ def split(items, n_evolution: int, seed: int, labels=None) -> tuple[list, list]:
         )
     if seed < 0:
         raise ValidationError("seed must be >= 0")
-    if labels is not None and len(labels) != total:
+    if labels is None:
+        labels = [0] * total
+    if len(labels) != total:
         raise ValidationError(f"{len(labels)} labels for {total} items")
     rng = np.random.default_rng(seed)
-    if labels is None:
-        order = rng.permutation(total)
-        chosen = set(order[:n_evolution].tolist())
-    else:
-        chosen = set()
-        by_label: dict = {}
-        for i, lab in enumerate(labels):
-            by_label.setdefault(lab, []).append(i)
-        quota, remainder = divmod(n_evolution, len(by_label))
-        for extra, (_, indices) in enumerate(sorted(by_label.items())):
-            take = quota + (1 if extra < remainder else 0)
-            perm = rng.permutation(len(indices))
-            chosen.update(indices[i] for i in perm[:take])
+    chosen = set()
+    by_label: dict = {}
+    for i, lab in enumerate(labels):
+        by_label.setdefault(lab, []).append(i)
+    quota, remainder = divmod(n_evolution, len(by_label))
+    for extra, (_, indices) in enumerate(sorted(by_label.items())):
+        take = quota + (1 if extra < remainder else 0)
+        perm = rng.permutation(len(indices))
+        chosen.update(indices[i] for i in perm[:take])
     evolution = [items[i] for i in range(total) if i in chosen]
     evaluation = [items[i] for i in range(total) if i not in chosen]
     return evolution, evaluation

@@ -12,7 +12,7 @@ batches independent states.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import reduce
 
 import numpy as np
@@ -35,12 +35,13 @@ class NoiseModel:
     name: str = ""
 
     def __post_init__(self) -> None:
-        for field in ("p1", "p2", "readout_flip_0to1", "readout_flip_1to0"):
+        for field in RATE_FIELDS:
             value = getattr(self, field)
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{field} must be in [0, 1], got {value}")
 
 
+RATE_FIELDS = tuple(f.name for f in fields(NoiseModel) if f.type == "float")
 ZERO_NOISE = NoiseModel(0.0, 0.0, 0.0, 0.0, name="zero")
 
 

@@ -12,10 +12,8 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ParseError, ValidationError
-from .noise import NoiseModel
+from .noise import RATE_FIELDS, NoiseModel
 from .serialization import decode_file, write_atomic
-
-_FLOAT_KEYS = ("p1", "p2", "readout_flip_0to1", "readout_flip_1to0")
 
 
 def parse_noise_config(text: str) -> NoiseModel:
@@ -28,16 +26,16 @@ def parse_noise_config(text: str) -> NoiseModel:
             raise ParseError(f"expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key != "name" and key not in _FLOAT_KEYS:
-            raise ParseError(f"unknown key {key!r}; keys are name, {', '.join(_FLOAT_KEYS)}")
+        if key != "name" and key not in RATE_FIELDS:
+            raise ParseError(f"unknown key {key!r}; keys are name, {', '.join(RATE_FIELDS)}")
         if key in values:
             raise ParseError(f"repeated key {key!r}")
         values[key] = value.strip()
-    missing = [k for k in _FLOAT_KEYS if k not in values]
+    missing = [k for k in RATE_FIELDS if k not in values]
     if missing:
         raise ParseError(f"missing keys: {', '.join(missing)}")
     floats = {}
-    for key in _FLOAT_KEYS:
+    for key in RATE_FIELDS:
         try:
             floats[key] = float(values[key])
         except ValueError:
@@ -52,7 +50,7 @@ def write_noise_config(model: NoiseModel, path) -> None:
             f"noise model name must be one line without surrounding whitespace, "
             f"got {model.name!r}")
     lines = [f"name = {model.name}"]
-    for key in _FLOAT_KEYS:
+    for key in RATE_FIELDS:
         lines.append(f"{key} = {getattr(model, key)!r}")
     write_atomic(path, "\n".join(lines) + "\n")
 

@@ -11,8 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .circuits import Circuit, CXGate, Gate, UGate
@@ -78,9 +79,10 @@ def _json_int(value, what: str) -> int:
 
 
 def _json_float(value, what: str) -> float:
-    """``value`` as a float if it is a JSON number; a string or a bool is refused."""
-    if type(value) not in (int, float):
-        raise ParseError(f"{what} must be a number, got {value!r}")
+    """``value`` as a float if it is a finite JSON number; a string, a bool, NaN
+    or an infinity is refused."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ParseError(f"{what} must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -133,12 +135,14 @@ def test_case_to_obj(case: TestCase) -> dict:
 
 
 def test_case_from_obj(obj: dict) -> TestCase:
-    expected = _json_int(obj["expected"], "expected")
-    if "features" in obj:
-        return TestCase(expected=expected,
-                        features=tuple(_json_float(f, "feature") for f in obj["features"]))
-    return TestCase(expected=expected,
-                    init_gates=tuple(gate_from_obj(g) for g in obj["init_gates"]))
+    """Both init forms are passed on, so ``TestCase`` refuses a line with both."""
+    return TestCase(
+        expected=_json_int(obj["expected"], "expected"),
+        features=(tuple(_json_float(f, "feature") for f in obj["features"])
+                  if "features" in obj else None),
+        init_gates=(tuple(gate_from_obj(g) for g in obj["init_gates"])
+                    if "init_gates" in obj else None),
+    )
 
 
 def write_test_cases(cases, path) -> None:
@@ -158,11 +162,6 @@ def _test_cases_from_lines(lines) -> list[TestCase]:
 
 # --- evolution configs (JSON) ---
 
-_CONFIG_INT_FIELDS = ("num_qubits", "population_size", "generations", "ensemble_size",
-                      "gate_cap", "tournament_size", "seed")
-_CONFIG_FLOAT_FIELDS = ("crossover_rate", "mutation_rate", "elite_fraction", "angle_sigma")
-
-
 def config_to_obj(config: EvolutionConfig) -> dict:
     """Every ``EvolutionConfig`` field, with ``shots`` written as ``eval_mode``."""
     obj = asdict(config)
@@ -175,12 +174,10 @@ def config_to_obj(config: EvolutionConfig) -> dict:
 def config_from_obj(obj: dict) -> EvolutionConfig:
     """Inverse of ``config_to_obj``; absent fields take the ``EvolutionConfig`` defaults."""
     obj = dict(obj)
-    for key in _CONFIG_INT_FIELDS:
-        if key in obj:
-            _json_int(obj[key], key)
-    for key in _CONFIG_FLOAT_FIELDS:
-        if key in obj:
-            obj[key] = _json_float(obj[key], key)
+    for field in fields(EvolutionConfig):
+        read = {"int": _json_int, "float": _json_float}.get(field.type)
+        if read is not None and field.name in obj:
+            obj[field.name] = read(obj[field.name], field.name)
     for q in obj.get("measured_qubits", ()):
         _json_int(q, "measured qubit")
     obj["shots"] = parse_eval_mode(obj.pop("eval_mode", "exact"))
@@ -191,7 +188,7 @@ def parse_eval_mode(mode: str) -> int | None:
     """'exact' -> None; 'shots:<count>' -> count, written in ASCII digits without a leading 0."""
     if mode == "exact":
         return None
-    if re.fullmatch(r"shots:[1-9][0-9]*", mode):
+    if isinstance(mode, str) and re.fullmatch(r"shots:[1-9][0-9]*", mode):
         return int(mode[len("shots:"):])
     raise ParseError(f"eval mode must be 'exact' or 'shots:<count>', got {mode!r}")
 
@@ -281,6 +278,7 @@ def result_rows_to_csv(rows) -> str:
 
 
 def result_rows_from_csv(text: str) -> list[ResultRow]:
+    """Numeric cells are read as JSON numbers, by the rules of the JSON formats."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != list(RESULT_FIELDS):
@@ -291,27 +289,33 @@ def result_rows_from_csv(text: str) -> list[ResultRow]:
             continue
         if len(record) != len(RESULT_FIELDS):
             raise ParseError(f"bad result row: {record!r}")
-        rows.append(ResultRow(
-            backend_name=record[0], ensemble_size=int(record[1]),
-            median_het=float(record[2]), median_hom=float(record[3]),
-            p_value=float(record[4]), effect_r=float(record[5]),
-        ))
+        name, n, *floats = record
+        rows.append(ResultRow(name, _json_int(json.loads(n), "n"),
+                              *(_json_float(json.loads(cell), field)
+                                for cell, field in zip(floats, RESULT_FIELDS[2:]))))
     if not rows:
         raise ParseError("result file has no rows")
     return rows
 
 
 def result_table_text(rows) -> str:
-    """Aligned text table, one line per backend, columns grouped by n."""
+    """Aligned text table, one line per backend, columns grouped by n.
+
+    Refuses two rows with the same backend and n, which would share a cell.
+    """
     rows = list(rows)
     if not rows:
         raise ValidationError("no result rows to format")
     sizes = sorted({r.ensemble_size for r in rows})
     backends: list[str] = []
+    by_key = {}
     for row in rows:
         if row.backend_name not in backends:
             backends.append(row.backend_name)
-    by_key = {(r.backend_name, r.ensemble_size): r for r in rows}
+        key = (row.backend_name, row.ensemble_size)
+        if key in by_key:
+            raise ValidationError(f"two rows for backend {key[0]!r}, n={key[1]}")
+        by_key[key] = row
     header = ["backend"]
     for n in sizes:
         header += [f"het(n={n})", f"hom(n={n})", f"p(n={n})", f"r(n={n})"]

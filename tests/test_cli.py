@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -204,6 +205,24 @@ def test_evaluate_negative_seed_exits_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("outputs", [
+    ["--output", "cases", "--evolution-out", "evo", "--evaluation-out", "eva"],
+    ["--output", "cases", "--evaluation-out", "eva"],
+    ["--output", "cases", "--stratified"],
+    ["--evolution-out", "evo"],
+    ["--evaluation-out", "eva", "--stratified"],
+], ids=["output-and-splits", "output-and-one-split", "output-stratified", "one-split",
+        "one-split-stratified"])
+def test_encode_dataset_refuses_mixed_outputs(tmp_path, capsys, outputs):
+    argv = ["encode-dataset", "--input", str(bundled_dataset_path())]
+    argv += [arg if arg.startswith("--") else str(tmp_path / arg) for arg in outputs]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    assert "error: encode-dataset takes either --output" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_encode_dataset_requires_output(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["encode-dataset", "--input", str(bundled_dataset_path())])
@@ -242,8 +261,23 @@ MALFORMED_FILES = [
                  id="config-num-qubits-four"),
     pytest.param("config", json.dumps({**SMALL_CONFIG_OBJ, "generations": 1.5}),
                  id="config-generations-float"),
+    pytest.param("config", json.dumps({**SMALL_CONFIG_OBJ, "angle_sigma": math.inf}),
+                 id="config-angle-sigma-infinity"),
+    pytest.param("config", json.dumps({**SMALL_CONFIG_OBJ, "angle_sigma": math.nan}),
+                 id="config-angle-sigma-nan"),
+    pytest.param("population", edited_population(
+        lambda o: o["fitnesses"][0].update(fitness=math.nan)), id="population-fitness-nan"),
+    pytest.param("tests", '{"expected": 0, "features": [0.0, 0.0, NaN, 0.0]}\n',
+                 id="tests-feature-nan"),
+    pytest.param("tests", '{"expected": 0, "features": [0.0, 0.0, 0.0, 0.0],'
+                          ' "init_gates": [{"gate": "cx", "control": 0, "target": 1}]}\n',
+                 id="tests-both-init-forms"),
     pytest.param("rows", GOOD_ROWS.replace("0.8", "abc"), id="rows-median-abc"),
     pytest.param("rows", GOOD_ROWS.replace("ideal,3", "ideal,x"), id="rows-n-x"),
+    pytest.param("rows", GOOD_ROWS.replace("ideal,3", "ideal,1_0"), id="rows-n-underscore"),
+    pytest.param("rows", GOOD_ROWS.replace("ideal,3", "ideal,5.0"), id="rows-n-float"),
+    pytest.param("rows", GOOD_ROWS.replace("0.8", "nan"), id="rows-median-nan"),
+    pytest.param("rows", GOOD_ROWS + "ideal,3,0.5,0.4,0.01,0.2\n", id="rows-duplicate-cell"),
     pytest.param("population", b"\xff\xfe{", id="population-non-utf8"),
     pytest.param("tests", b"\xff\n", id="tests-non-utf8"),
     pytest.param("rows", GOOD_ROWS.encode() + b"\xff\n", id="rows-non-utf8"),

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -51,6 +52,9 @@ def test_config_validation():
         small_config(measured_qubits=(0, 2))
     with pytest.raises(ValidationError):
         small_config(seed=-1)
+    for sigma in (math.inf, math.nan):
+        with pytest.raises(ValidationError, match="angle_sigma must be finite"):
+            small_config(angle_sigma=sigma)
 
 
 def test_random_circuit_forced_length():

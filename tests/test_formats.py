@@ -2,12 +2,14 @@
 
 Valid files round-trip byte for byte.  Malformed files (arbitrary bytes, a
 required key dropped or repeated, a value swapped for one of another type, an
-integer swapped for a float or a bool, a float swapped for a numeric string or
-a bool) make the reader raise a ``QcensError`` and never any other exception.
+integer swapped for a float or a bool, a float swapped for a numeric string, a
+bool, NaN or an infinity) make the reader raise a ``QcensError`` and never any
+other exception.
 """
 
 import copy
 import json
+import math
 
 import numpy as np
 import pytest
@@ -242,7 +244,7 @@ def value_paths(obj, prefix=()):
 def json_edits(obj):
     """Every edit of a JSON tree: each key dropped, each value set to null and to
     "x", each integer set to 1.5 and to true, each float set to its own digits
-    as a string and to true.
+    as a string, to true, to NaN and to Infinity.
 
     Yields (edited tree, the dropped key's path or None).
     """
@@ -254,7 +256,7 @@ def json_edits(obj):
         if type(value) is int:
             edits += [1.5, True]
         elif type(value) is float:
-            edits += [repr(value), True]
+            edits += [repr(value), True, math.nan, math.inf]
         for edit in edits:
             if edit == "drop" and not isinstance(where[-1], str):
                 continue
@@ -313,7 +315,7 @@ def test_edited_result_row_files_raise_qcens_errors(path, rows, data):
     if data.draw(st.booleans()):
         del lines[index][-1]
     else:
-        lines[index][-1] = data.draw(st.sampled_from(["x", ""]))
+        lines[index][-1] = data.draw(st.sampled_from(["x", "", "nan", "Infinity", "1_0"]))
     path.write_text("".join(",".join(line) + "\n" for line in lines))
     with pytest.raises(QcensError):
         read_rows(path)

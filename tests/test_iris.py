@@ -127,6 +127,18 @@ def test_split_partition_property(seed, n):
     assert sorted(evo + eva) == items
 
 
+@settings(deadline=None, max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), total=st.integers(2, 200), data=st.data())
+def test_split_without_labels_is_the_one_label_stratified_split(seed, total, data):
+    n = data.draw(st.integers(1, total - 1))
+    items = list(range(total))
+    evo, eva = split(items, n, seed)
+    assert (evo, eva) == split(items, n, seed, labels=["any"] * total)
+    # oracle: the first n of one permutation of all the items
+    chosen = set(np.random.default_rng(seed).permutation(total)[:n].tolist())
+    assert evo == [i for i in items if i in chosen]
+
+
 def test_stratified_split(dataset):
     evo, eva = split(dataset, 99, seed=2, labels=[e.class_label for e in dataset])
     counts = {}

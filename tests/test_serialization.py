@@ -58,6 +58,16 @@ def test_test_case_file_errors(tmp_path):
         read_test_cases(path)
 
 
+def test_test_case_line_with_both_init_forms_is_refused(tmp_path):
+    path = tmp_path / "both.jsonl"
+    write_test_cases([TestCase(expected=1, features=(0.1, 0.2))], path)
+    both = {"expected": 1, "features": [0.1, 0.2],
+            "init_gates": [{"gate": "cx", "control": 0, "target": 1}]}
+    path.write_text(path.read_text() + json.dumps(both) + "\n")
+    with pytest.raises(ValidationError, match=f"{path}:2: test case needs exactly one"):
+        read_test_cases(path)
+
+
 def test_config_round_trip(tmp_path):
     config = EvolutionConfig(num_qubits=3, measured_qubits=(0, 2), population_size=10,
                              generations=7, ensemble_size=3, gate_cap=9, seed=11,
@@ -74,6 +84,16 @@ def test_eval_mode_parsing():
         parse_eval_mode("shots:abc")
     with pytest.raises(ParseError):
         parse_eval_mode("fuzzy")
+
+
+@pytest.mark.parametrize("mode", [5, None, ["exact"]])
+def test_eval_mode_names_the_grammar_for_a_non_string(tmp_path, mode):
+    with pytest.raises(ParseError, match=r"eval mode must be 'exact' or 'shots:<count>'"):
+        parse_eval_mode(mode)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"eval_mode": mode}))
+    with pytest.raises(ParseError, match=f"{path}: eval mode must be"):
+        read_config(path)
 
 
 @pytest.mark.parametrize("mode", ["shots: 5", "shots:+5", "shots:1_000", "shots:007",
@@ -140,6 +160,11 @@ def test_result_table_layout():
     assert len(lines) == 2  # header + one backend row
     numeric_cells = lines[1].split()[1:]
     assert len(numeric_cells) == 12  # 4 columns for each of the 3 sizes
+
+
+def test_result_table_refuses_two_rows_for_one_cell():
+    with pytest.raises(ValidationError, match="two rows for backend 'ideal', n=5"):
+        result_table_text([*SAMPLE_ROWS, ResultRow("ideal", 5, 0.5, 0.5, 1.0, 0.0)])
 
 
 def test_result_csv_bad_header():
