@@ -21,7 +21,7 @@ from .errors import StructuralError, ValidationError
 MAX_QUBITS = 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UGate:
     """Generic single-qubit rotation with angles (theta, phi, lam)."""
 
@@ -40,7 +40,7 @@ class UGate:
                 raise ValidationError(f"U angle {name} is not finite: {angle!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CXGate:
     """Controlled-not: flips target when control is 1."""
 
@@ -60,7 +60,7 @@ class CXGate:
 Gate = UGate | CXGate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Circuit:
     """Ordered gate list over ``num_qubits`` qubits with measured qubits."""
 

@@ -58,7 +58,9 @@ def cmd_compare(args) -> int:
     if args.append_to:
         path = Path(args.append_to)
         rows = ser.decode_file(path, ser.result_rows_from_csv) if path.is_file() else []
-        ser.write_atomic(path, ser.result_rows_to_csv([*rows, row]))
+        rows.append(row)
+        ser.rows_by_cell(rows)  # refuses a second row for one (backend, n)
+        ser.write_atomic((path, ser.result_rows_to_csv(rows)))
     print(ser.result_rows_to_csv([row]), end="")
     return 0
 
@@ -72,8 +74,7 @@ def cmd_report(args) -> int:
 
     # both outputs are built, and a duplicate row refused, before either is written
     csv_text, table = ser.decode_file(args.rows, render)
-    ser.write_atomic(args.out_csv, csv_text)
-    ser.write_atomic(args.out_table, table)
+    ser.write_atomic((args.out_csv, csv_text), (args.out_table, table))
     print(table, end="")
     return 0
 
@@ -86,8 +87,8 @@ def cmd_encode_dataset(args) -> int:
         return 0
     labels = [e.class_label for e in dataset] if args.stratified else None
     evo, eva = split(cases, args.n_evolution, args.seed or 0, labels=labels)
-    ser.write_test_cases(evo, args.evolution_out)
-    ser.write_test_cases(eva, args.evaluation_out)
+    ser.write_atomic((args.evolution_out, ser.cases_to_jsonl(evo)),
+                     (args.evaluation_out, ser.cases_to_jsonl(eva)))
     return 0
 
 

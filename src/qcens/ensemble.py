@@ -11,6 +11,7 @@ producing the expected output value over a set of test cases.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -28,7 +29,7 @@ from .statevector import evolve_state, run_ideal, sample_shots, zero_state
 SELECTION_DECIMALS = 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ensemble:
     """Fixed-size list of circuits sharing register width and measured qubits."""
 
@@ -96,12 +97,19 @@ class TestCase:
         return evolve_state(init_circuit, zero_state(num_qubits))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FitnessReport:
-    """Mean probability of the expected output, with the per-test breakdown."""
+    """Mean probability of the expected output, with the per-test breakdown.
+
+    ``per_test`` is kept as one float64 buffer, ``array('d')``, whatever
+    sequence it is given, so reports compare element by element.
+    """
 
     fitness: float
-    per_test: tuple[float, ...]
+    per_test: array
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "per_test", array("d", self.per_test))
 
 
 @lru_cache(maxsize=None)
@@ -162,16 +170,16 @@ def replicate_homogeneous(circuit: Circuit, n: int) -> Ensemble:
 class Evaluator:
     """Evaluates ensemble fitness against a fixed test set.
 
-    Precomputes initialization states once and caches per-circuit output
-    distributions (member laws) for two generations: the laws looked up since
-    the last ``next_generation()`` and those of the generation before, so a
-    circuit that appears in many ensembles (elites, homogeneous replicas) or
-    survives into the next generation is simulated once.  A circuit absent for
-    a whole generation is simulated again.  ``shots=None`` keeps the exact
-    member distributions; otherwise each (test, member) pair degrades its
-    distribution to a ``shots``-sample empirical estimate using an RNG stream
-    derived from (seed, test index, member index), making results independent
-    of evaluation order.
+    Precomputes initialization states once and caches what each member slot
+    feeds the vote for two generations: the values looked up since the last
+    ``next_generation()`` and those of the generation before.  A circuit that
+    appears in many ensembles (elites, homogeneous replicas) or survives into
+    the next generation is simulated once; one absent for a whole generation
+    is simulated again.  ``shots=None`` feeds the exact member distributions
+    (member laws), cached per circuit.  Otherwise each slot feeds
+    ``shots``-sample empirical estimates of its circuit's law, cached per
+    (circuit, slot): test t of slot m is sampled from the RNG stream derived
+    from (seed, t, m), so results do not depend on evaluation order.
     """
 
     def __init__(self, tests, noise: NoiseModel | None = None,
@@ -189,8 +197,11 @@ class Evaluator:
         self._init_states: np.ndarray | None = None
         self._expected: np.ndarray = np.array([t.expected for t in self.tests])
         self._max_expected = int(self._expected.max())
-        self._dist_cache: dict[Circuit, np.ndarray] = {}
-        self._previous: dict[Circuit, np.ndarray] = {}
+        self._dist_cache: dict = {}  # key: circuit, or (circuit, slot) with shots
+        self._previous: dict = {}
+        # per slot, the (state, inc) of each test's PCG64 stream before its first draw
+        self._streams: dict[int, list[tuple[int, int]]] = {}
+        self._rng = np.random.default_rng(0)  # restarted from a stream before each draw
 
     def _states_for(self, num_qubits: int) -> np.ndarray:
         if self._init_states is None:
@@ -202,22 +213,26 @@ class Evaluator:
         return self._init_states
 
     def next_generation(self) -> None:
-        """Keep only the laws looked up since the last call, as the previous generation."""
+        """Keep only the values looked up since the last call, as the previous generation."""
         self._previous, self._dist_cache = self._dist_cache, {}
 
-    def member_distributions(self, circuit: Circuit) -> np.ndarray:
-        """Per-test output distributions for one circuit, shape (T, k)."""
-        dists = self._dist_cache.get(circuit)
+    def member_distributions(self, circuit: Circuit, slot: int = 0) -> np.ndarray:
+        """What member slot ``slot`` feeds the vote for ``circuit``, shape (T, k):
+        the exact per-test output distributions, or their shot estimates."""
+        key = circuit if self.shots is None else (circuit, slot)
+        dists = self._dist_cache.get(key)
         if dists is not None:
             return dists
-        dists = self._previous.get(circuit)
+        dists = self._previous.get(key)
         if dists is None:
             states = self._states_for(circuit.num_qubits)
             if self.noise is None:
                 dists = run_ideal(circuit, states)
             else:
                 dists = run_noisy(circuit, states, self.noise)
-        self._dist_cache[circuit] = dists
+            if self.shots is not None:
+                dists = self._degrade_to_shots(dists, slot)
+        self._dist_cache[key] = dists
         return dists
 
     def ensemble_fitness(self, ensemble: Ensemble) -> FitnessReport:
@@ -229,22 +244,27 @@ class Evaluator:
                 f"but circuits output only {k} values"
             )
         member_dists = np.stack(
-            [self.member_distributions(c) for c in ensemble.circuits]
+            [self.member_distributions(c, m) for m, c in enumerate(ensemble.circuits)]
         )
-        if self.shots is not None:
-            member_dists = self._degrade_to_shots(member_dists)
         vote = _vote_batch(member_dists)
         per_test = vote[np.arange(len(self.tests)), self._expected]
         return FitnessReport(round(float(per_test.mean()), SELECTION_DECIMALS),
-                             tuple(per_test.tolist()))
+                             per_test.tolist())
 
-    def _degrade_to_shots(self, member_dists: np.ndarray) -> np.ndarray:
-        n, num_tests, _ = member_dists.shape
-        out = np.empty_like(member_dists)
-        for t in range(num_tests):
-            for m in range(n):
-                rng = np.random.default_rng(np.random.SeedSequence((self.seed, t, m)))
-                out[m, t] = sample_shots(member_dists[m, t], self.shots, rng)
+    def _degrade_to_shots(self, dists: np.ndarray, slot: int) -> np.ndarray:
+        """Shot estimates of per-test laws (T, k): test t is drawn from stream
+        (seed, t, slot), restarted from its start state, derived once per slot."""
+        streams = self._streams.get(slot)
+        if streams is None:
+            starts = (np.random.PCG64(np.random.SeedSequence((self.seed, t, slot))).state["state"]
+                      for t in range(len(self.tests)))
+            streams = self._streams[slot] = [(s["state"], s["inc"]) for s in starts]
+        out = np.empty_like(dists)
+        for t, (state, inc) in enumerate(streams):
+            self._rng.bit_generator.state = {
+                "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                "has_uint32": 0, "uinteger": 0}
+            out[t] = sample_shots(dists[t], self.shots, self._rng)
         return out
 
 

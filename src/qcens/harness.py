@@ -109,6 +109,6 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
                 populations[size], hom_base, size, evaluation_tests, noise=noise
             ))
     if rows:
-        write_atomic(out_dir / f"results_seed{plan.seed}.csv", result_rows_to_csv(rows))
-        write_atomic(out_dir / f"results_seed{plan.seed}.txt", result_table_text(rows))
+        write_atomic((out_dir / f"results_seed{plan.seed}.csv", result_rows_to_csv(rows)),
+                     (out_dir / f"results_seed{plan.seed}.txt", result_table_text(rows)))
     return ExperimentResult(populations, rows, evolution_tests, evaluation_tests)

@@ -52,7 +52,7 @@ def write_noise_config(model: NoiseModel, path) -> None:
     lines = [f"name = {model.name}"]
     for key in RATE_FIELDS:
         lines.append(f"{key} = {getattr(model, key)!r}")
-    write_atomic(path, "\n".join(lines) + "\n")
+    write_atomic((path, "\n".join(lines) + "\n"))
 
 
 def load_noise_file(path) -> NoiseModel:

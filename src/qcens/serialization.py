@@ -24,18 +24,28 @@ from .evolution import EvolutionConfig, Population
 POPULATION_FORMAT = "qcens-population-v1"
 
 
-def write_atomic(path, text: str) -> None:
-    """Write ``text`` through a temp file so failures leave no partial output.
+def write_atomic(*files) -> None:
+    """Write each ``(path, text)`` pair so that all of the files land or none does.
 
-    Every writer in the package goes through here.
+    Every text goes to a temp file next to its path; only when all are written
+    are they renamed into place, and a failure removes every temp file.  Every
+    writer in the package goes through here.
     """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    paths = [Path(path) for path, _ in files]
+    if len({p.resolve() for p in paths}) != len(paths):
+        raise ValidationError("one output file is given twice")
+    for path in paths:  # renaming onto a directory fails, perhaps after other renames
+        if path.is_dir():
+            raise ValidationError(f"output path {path} is a directory")
+    tmps = [p.with_name(p.name + ".tmp") for p in paths]
     try:
-        tmp.write_text(text)
-        tmp.replace(path)
+        for tmp, (_, text) in zip(tmps, files):
+            tmp.write_text(text)
+        for tmp, path in zip(tmps, paths):
+            tmp.replace(path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -145,8 +155,12 @@ def test_case_from_obj(obj: dict) -> TestCase:
     )
 
 
+def cases_to_jsonl(cases) -> str:
+    return "".join(_dumps(test_case_to_obj(c)) + "\n" for c in cases)
+
+
 def write_test_cases(cases, path) -> None:
-    write_atomic(path, "".join(_dumps(test_case_to_obj(c)) + "\n" for c in cases))
+    write_atomic((path, cases_to_jsonl(cases)))
 
 
 def read_test_cases(path) -> list[TestCase]:
@@ -194,7 +208,7 @@ def parse_eval_mode(mode: str) -> int | None:
 
 
 def write_config(config: EvolutionConfig, path) -> None:
-    write_atomic(path, _dumps(config_to_obj(config), indent=2) + "\n")
+    write_atomic((path, _dumps(config_to_obj(config), indent=2) + "\n"))
 
 
 def read_config(path) -> EvolutionConfig:
@@ -229,7 +243,7 @@ def population_from_obj(obj: dict) -> Population:
     )
     fitnesses = tuple(
         FitnessReport(_json_float(r["fitness"], "fitness"),
-                      tuple(_json_float(p, "per_test") for p in r["per_test"]))
+                      [_json_float(p, "per_test") for p in r["per_test"]])
         for r in obj["fitnesses"]
     )
     config = config_from_obj(obj["config"]) if "config" in obj else None
@@ -237,7 +251,7 @@ def population_from_obj(obj: dict) -> Population:
 
 
 def write_population(population: Population, path) -> None:
-    write_atomic(path, _dumps(population_to_obj(population)) + "\n")
+    write_atomic((path, _dumps(population_to_obj(population)) + "\n"))
 
 
 def read_population(path) -> Population:
@@ -278,7 +292,8 @@ def result_rows_to_csv(rows) -> str:
 
 
 def result_rows_from_csv(text: str) -> list[ResultRow]:
-    """Numeric cells are read as JSON numbers, by the rules of the JSON formats."""
+    """Numeric cells are read as JSON numbers, by the rules of the JSON formats,
+    and may not carry the surrounding whitespace JSON would skip."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != list(RESULT_FIELDS):
@@ -290,12 +305,26 @@ def result_rows_from_csv(text: str) -> list[ResultRow]:
         if len(record) != len(RESULT_FIELDS):
             raise ParseError(f"bad result row: {record!r}")
         name, n, *floats = record
+        if any(cell != cell.strip() for cell in (n, *floats)):
+            raise ParseError(f"number cells may not carry spaces: {record!r}")
         rows.append(ResultRow(name, _json_int(json.loads(n), "n"),
                               *(_json_float(json.loads(cell), field)
                                 for cell, field in zip(floats, RESULT_FIELDS[2:]))))
     if not rows:
         raise ParseError("result file has no rows")
     return rows
+
+
+def rows_by_cell(rows) -> dict:
+    """Rows keyed by (backend, n); two rows with one key are refused, since they
+    would share a cell of the result table."""
+    by_key = {}
+    for row in rows:
+        key = (row.backend_name, row.ensemble_size)
+        if key in by_key:
+            raise ValidationError(f"two rows for backend {key[0]!r}, n={key[1]}")
+        by_key[key] = row
+    return by_key
 
 
 def result_table_text(rows) -> str:
@@ -307,15 +336,8 @@ def result_table_text(rows) -> str:
     if not rows:
         raise ValidationError("no result rows to format")
     sizes = sorted({r.ensemble_size for r in rows})
-    backends: list[str] = []
-    by_key = {}
-    for row in rows:
-        if row.backend_name not in backends:
-            backends.append(row.backend_name)
-        key = (row.backend_name, row.ensemble_size)
-        if key in by_key:
-            raise ValidationError(f"two rows for backend {key[0]!r}, n={key[1]}")
-        by_key[key] = row
+    backends = list(dict.fromkeys(r.backend_name for r in rows))
+    by_key = rows_by_cell(rows)
     header = ["backend"]
     for n in sizes:
         header += [f"het(n={n})", f"hom(n={n})", f"p(n={n})", f"r(n={n})"]

@@ -163,6 +163,55 @@ def test_report_round_trip(tmp_path, capsys):
     assert table.splitlines()[1].split()[0] == "ideal"
 
 
+def test_compare_refuses_a_second_row_for_one_backend_and_size(tmp_path, capsys):
+    het = noop_population(tmp_path, n_members=3)
+    hom = noop_population(tmp_path, n_members=1)
+    tests_path = tmp_path / "tests.jsonl"
+    write_test_cases([TestCase(expected=0, features=(0.0,) * 4)], tests_path)
+    rows_path = tmp_path / "rows.csv"
+    argv = ["compare", "--het-population", str(het), "--hom-population", str(hom),
+            "--ensemble-size", "3", "--tests", str(tests_path), "--append-to", str(rows_path)]
+    assert main(argv) == 0
+    written = rows_path.read_bytes()
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: two rows for backend 'ideal', n=3\n"
+    assert captured.out == ""
+    assert rows_path.read_bytes() == written
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_report_writes_both_outputs_or_neither(tmp_path, capsys):
+    rows_path = tmp_path / "rows.csv"
+    rows_path.write_text(GOOD_ROWS)
+    code = main(["report", "--rows", str(rows_path), "--out-csv", str(tmp_path / "ok.csv"),
+                 "--out-table", str(tmp_path / "missing" / "t.txt")])
+    assert code == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
+
+def test_report_refuses_a_directory_as_either_output(tmp_path, capsys):
+    rows_path = tmp_path / "rows.csv"
+    rows_path.write_text(GOOD_ROWS)
+    (tmp_path / "table").mkdir()
+    code = main(["report", "--rows", str(rows_path), "--out-csv", str(tmp_path / "ok.csv"),
+                 "--out-table", str(tmp_path / "table")])
+    assert code == 2
+    assert "is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["rows.csv", "table"]
+
+
+def test_report_refuses_one_file_for_both_outputs(tmp_path, capsys):
+    rows_path = tmp_path / "rows.csv"
+    rows_path.write_text(GOOD_ROWS)
+    out = str(tmp_path / "out.txt")
+    assert main(["report", "--rows", str(rows_path), "--out-csv", out, "--out-table", out]) == 2
+    assert "given twice" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
+
+
 def test_encode_dataset_single_file(tmp_path):
     out = tmp_path / "cases.jsonl"
     assert main(["encode-dataset", "--input", str(bundled_dataset_path()),
@@ -180,6 +229,15 @@ def test_encode_dataset_split_files(tmp_path):
                  "--n-evolution", "100", "--seed", "4"]) == 0
     assert len(read_test_cases(evo)) == 100
     assert len(read_test_cases(eva)) == 50
+
+
+def test_encode_dataset_writes_both_splits_or_neither(tmp_path, capsys):
+    code = main(["encode-dataset", "--input", str(bundled_dataset_path()),
+                 "--evolution-out", str(tmp_path / "evo.jsonl"),
+                 "--evaluation-out", str(tmp_path / "missing" / "eva.jsonl")])
+    assert code == 2
+    assert "No such file or directory" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("stratified", [[], ["--stratified"]], ids=["random", "stratified"])

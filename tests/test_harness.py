@@ -110,6 +110,22 @@ def test_interrupted_write_leaves_no_partial_file(tmp_path, monkeypatch, failing
     assert (out / "population_n1_seed5.json").is_file()  # written before the failure
 
 
+def test_result_csv_and_table_are_written_together_or_not_at_all(tmp_path, monkeypatch):
+    real_write_text = Path.write_text
+
+    def write_text(self, data, *args, **kwargs):
+        if self.name.startswith("results_seed5.txt"):
+            raise OSError("disk full")
+        return real_write_text(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    with pytest.raises(OSError, match="disk full"):
+        run_experiment(small_plan(tmp_path))
+    out = tmp_path / "out"
+    assert not list(out.glob("results_seed5*"))
+    assert (out / "population_n3_seed5.json").is_file()
+
+
 def test_compare_rejects_wrong_baseline_sizes(tmp_path):
     plan = small_plan(tmp_path)
     result = run_experiment(plan)

@@ -1,8 +1,10 @@
 """Static checks on the package source: every module-level import is used, every
-public module-level name is read somewhere, and every name exported in
-``qcens.__all__`` resolves."""
+public module-level name is read somewhere, every name exported in
+``qcens.__all__`` resolves, and so does every name the benchmark tracer wraps."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -90,3 +92,17 @@ def test_every_public_module_level_name_is_read():
 def test_every_exported_name_resolves():
     assert [name for name in qcens.__all__ if not hasattr(qcens, name)] == []
     assert len(set(qcens.__all__)) == len(qcens.__all__)
+
+
+def test_every_benchmark_tracer_hook_resolves():
+    """A renamed hook fails here, not only in a traced benchmark run."""
+    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = []
+    for _, where, attr, _ in tracer.HOOKS:
+        module, _, cls = where.partition(":")
+        owner = importlib.import_module(module)
+        if attr not in vars(getattr(owner, cls) if cls else owner):
+            missing.append(f"{where}.{attr}")
+    assert missing == []

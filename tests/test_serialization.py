@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,7 @@ from qcens import Circuit, CXGate, EvolutionConfig, UGate, evolve
 from qcens.ensemble import TestCase
 from qcens.errors import ParseError, ValidationError
 from qcens.serialization import (
+    RESULT_FIELDS,
     ResultRow,
     circuit_from_obj,
     circuit_to_obj,
@@ -20,6 +22,7 @@ from qcens.serialization import (
     result_rows_to_csv,
     result_table_text,
     write_config,
+    write_atomic,
     write_population,
     write_test_cases,
 )
@@ -165,6 +168,34 @@ def test_result_table_layout():
 def test_result_table_refuses_two_rows_for_one_cell():
     with pytest.raises(ValidationError, match="two rows for backend 'ideal', n=5"):
         result_table_text([*SAMPLE_ROWS, ResultRow("ideal", 5, 0.5, 0.5, 1.0, 0.0)])
+
+
+@pytest.mark.parametrize("row", ["ideal, 5,0.8,0.7,0.01,0.5", "ideal,5,0.8 ,0.7,0.01,0.5",
+                                 "ideal,5,0.8,0.7,0.01,\t0.5"], ids=["n", "median", "tab"])
+def test_result_number_cells_with_spaces_are_refused(row):
+    """JSON would skip the spaces, and the row would not write back as it was read."""
+    with pytest.raises(ParseError, match="may not carry spaces"):
+        result_rows_from_csv(f"{','.join(RESULT_FIELDS)}\n{row}\n")
+
+
+def test_write_atomic_writes_every_file_or_none(tmp_path, monkeypatch):
+    real_write_text = Path.write_text
+
+    def write_text(self, data, *args, **kwargs):
+        if self.name == "b.txt.tmp":
+            raise OSError("disk full")
+        return real_write_text(self, data, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", write_text)
+    with pytest.raises(OSError, match="disk full"):
+        write_atomic((tmp_path / "a.txt", "a"), (tmp_path / "b.txt", "b"))
+    assert not any(tmp_path.iterdir())
+
+
+def test_write_atomic_refuses_one_file_given_twice(tmp_path):
+    with pytest.raises(ValidationError, match="given twice"):
+        write_atomic((tmp_path / "a.txt", "a"), (tmp_path / "." / "a.txt", "b"))
+    assert not any(tmp_path.iterdir())
 
 
 def test_result_csv_bad_header():
