@@ -15,7 +15,7 @@ from pathlib import Path
 from . import serialization as ser
 from .errors import QcensError
 from .evolution import evolve
-from .harness import compare_populations, evaluate_population
+from .harness import backend_name, compare_populations, evaluate_population
 from .iris import encode_all, load_dataset, split
 from .noisefiles import resolve_noise
 
@@ -54,13 +54,14 @@ def cmd_compare(args) -> int:
     hom = ser.read_population(args.hom_population)
     tests = ser.read_test_cases(args.tests)
     noise = resolve_noise(args.noise)
-    row = compare_populations(het, hom, args.ensemble_size, tests, noise=noise)
-    if args.append_to:
+    if args.append_to:  # a malformed rows file, or a second row for one cell, is refused unscored
         path = Path(args.append_to)
         rows = ser.decode_file(path, ser.result_rows_from_csv) if path.is_file() else []
-        rows.append(row)
-        ser.rows_by_cell(rows)  # refuses a second row for one (backend, n)
-        ser.write_atomic((path, ser.result_rows_to_csv(rows)))
+        ser.refuse_shared_cells([*(r.cell for r in rows),
+                                 (backend_name(noise), args.ensemble_size)])
+    row = compare_populations(het, hom, args.ensemble_size, tests, noise=noise)
+    if args.append_to:
+        ser.write_atomic((path, ser.result_rows_to_csv([*rows, row])))
     print(ser.result_rows_to_csv([row]), end="")
     return 0
 

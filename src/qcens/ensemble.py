@@ -5,8 +5,13 @@ outputs; ties are split uniformly at random among the tied values.  The vote
 depends only on how many members output each value, and members are
 independent, so the exact output distribution follows from a dynamic program
 over member-value count vectors: C(n+k-1, k-1) states for n members and k
-values, rather than k**n joint outcomes.  Fitness is the mean probability of
-producing the expected output value over a set of test cases.
+values, rather than k**n joint outcomes.  Each member step gathers the mass
+of every grown count vector t from its predecessors t - e_v.  For increasing
+v these have increasing lexicographic index, so the terms are added in the
+order a scatter over (previous vector, value) pairs adds them, and a missing
+predecessor adds +0.0 to a non-negative sum: the gather is bit-identical to
+that scatter (``bincount_vote_oracle`` in the tests).  Fitness is the mean
+probability of producing the expected output value over a set of test cases.
 """
 
 from __future__ import annotations
@@ -116,33 +121,47 @@ class FitnessReport:
 def _count_tables(k: int, n: int) -> tuple[tuple, np.ndarray]:
     """Tables of the count-vector DP for n members over k output values.
 
-    Count vectors start as the k unit vectors of the first member's value.
-    Each later member step has one ``target`` array that maps the pair (count
-    vector, next value), flattened, to the index of the grown count vector.
-    The final (states, k) matrix puts 1/|W| on each value in the set W of
-    plurality winners of a count vector.
+    Count vectors start as the k unit vectors of the first member's value and
+    are kept in ``np.unique`` (lexicographic) order.  Each later member step
+    has a (k, S') predecessor table: ``pred[v, t]`` is the index of count
+    vector t - e_v among the S previous count vectors, or S, the index of an
+    all-zero row, when t has no vote for v.  The final (states, k) matrix puts
+    1/|W| on each value in the set W of plurality winners of a count vector.
     """
     steps = []
     counts = np.eye(k, dtype=np.int64)
     for _ in range(n - 1):
         grown = (counts[:, None, :] + np.eye(k, dtype=np.int64)).reshape(-1, k)
-        counts, target = np.unique(grown, axis=0, return_inverse=True)
-        steps.append((target.ravel(), len(counts)))
+        grown_counts, target = np.unique(grown, axis=0, return_inverse=True)
+        pred = np.full((k, len(grown_counts)), len(counts), dtype=np.intp)
+        pred[np.arange(k), target.reshape(len(counts), k)] = np.arange(len(counts))[:, None]
+        steps.append(pred)
+        counts = grown_counts
     winners = counts == counts.max(axis=1, keepdims=True)
     return tuple(steps), winners / winners.sum(axis=1, keepdims=True)
 
 
 def _vote_batch(member_dists: np.ndarray) -> np.ndarray:
-    """Exact vote over dists of shape (n_members, batch, k) -> (batch, k)."""
+    """Exact vote over dists of shape (n_members, batch, k) -> (batch, k).
+
+    P(count vector) is held as (states + 1, batch), the last row zero.  Each
+    member step gathers a grown vector's mass from its predecessors, one
+    term per value v in increasing v, and sums the k terms in that order.
+    """
     n, batch, k = member_dists.shape
     steps, split = _count_tables(k, n)
-    prob = member_dists[0]  # P(count vector) over the members seen so far
-    for dist, (target, states) in zip(member_dists[1:], steps):
-        joint = prob[:, :, None] * dist[:, None, :]
-        index = target + states * np.arange(batch)[:, None]
-        prob = np.bincount(index.ravel(), weights=joint.ravel(),
-                           minlength=batch * states).reshape(batch, states)
-    return prob @ split
+    dists = np.ascontiguousarray(member_dists.transpose(0, 2, 1))  # (n, k, batch)
+    prob = np.zeros((k + 1, batch))
+    prob[:-1] = dists[0]
+    for dist, pred in zip(dists[1:], steps):
+        terms = prob[pred]  # (k, states, batch)
+        terms *= dist[:, None, :]
+        prob = np.empty((pred.shape[1] + 1, batch))
+        prob[-1] = 0.0
+        np.add.reduce(terms, axis=0, out=prob[:-1])  # adds term v after terms 0..v-1
+    # (batch, states) @ (states, k) on a C-contiguous copy: the product on the
+    # transposed view sums in another order, and its last bits differ
+    return prob[:-1].T.copy() @ split
 
 
 def vote_distribution(member_dists) -> np.ndarray:

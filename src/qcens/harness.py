@@ -53,6 +53,11 @@ def evaluate_population(individuals, tests, noise: NoiseModel | None = None,
     return [evaluator.ensemble_fitness(e).fitness for e in individuals]
 
 
+def backend_name(noise: NoiseModel | None) -> str:
+    """The result-row backend of an evaluation: ``ideal``, or the noise model's name."""
+    return noise.name if noise is not None else "ideal"
+
+
 def compare_populations(het: Population, hom_base: Population, n: int, tests,
                         noise: NoiseModel | None = None) -> ResultRow:
     """Heterogeneous population vs. size-1 circuits replicated to size n."""
@@ -66,7 +71,7 @@ def compare_populations(het: Population, hom_base: Population, n: int, tests,
     het_fits, hom_fits = fits[:len(het.individuals)], fits[len(het.individuals):]
     result = mann_whitney(het_fits, hom_fits)
     return ResultRow(
-        backend_name=noise.name if noise is not None else "ideal",
+        backend_name=backend_name(noise),
         ensemble_size=n,
         median_het=median(het_fits),
         median_hom=median(hom_fits),

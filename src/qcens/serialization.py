@@ -271,6 +271,11 @@ class ResultRow:
     p_value: float
     effect_r: float
 
+    @property
+    def cell(self) -> tuple[str, int]:
+        """The (backend, n) cell of the result table that this row fills."""
+        return self.backend_name, self.ensemble_size
+
 
 RESULT_FIELDS = ("backend", "n", "median_het", "median_hom", "p_value", "effect_r")
 
@@ -291,9 +296,19 @@ def result_rows_to_csv(rows) -> str:
     return out.getvalue()
 
 
+def _number_cell(cell: str, read, what: str):
+    """``read`` of the JSON number in ``cell``, which must be spelled as the
+    writer spells that value (``repr``), so the file round-trips byte for byte."""
+    value = read(json.loads(cell), what)
+    if repr(value) != cell:
+        raise ParseError(f"{what} cell {cell!r} is not written as {value!r}: number cells "
+                         "may not carry spaces or a second spelling")
+    return value
+
+
 def result_rows_from_csv(text: str) -> list[ResultRow]:
     """Numeric cells are read as JSON numbers, by the rules of the JSON formats,
-    and may not carry the surrounding whitespace JSON would skip."""
+    and must be spelled as ``result_rows_to_csv`` writes them."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != list(RESULT_FIELDS):
@@ -305,26 +320,22 @@ def result_rows_from_csv(text: str) -> list[ResultRow]:
         if len(record) != len(RESULT_FIELDS):
             raise ParseError(f"bad result row: {record!r}")
         name, n, *floats = record
-        if any(cell != cell.strip() for cell in (n, *floats)):
-            raise ParseError(f"number cells may not carry spaces: {record!r}")
-        rows.append(ResultRow(name, _json_int(json.loads(n), "n"),
-                              *(_json_float(json.loads(cell), field)
+        rows.append(ResultRow(name, _number_cell(n, _json_int, "n"),
+                              *(_number_cell(cell, _json_float, field)
                                 for cell, field in zip(floats, RESULT_FIELDS[2:]))))
     if not rows:
         raise ParseError("result file has no rows")
     return rows
 
 
-def rows_by_cell(rows) -> dict:
-    """Rows keyed by (backend, n); two rows with one key are refused, since they
-    would share a cell of the result table."""
-    by_key = {}
-    for row in rows:
-        key = (row.backend_name, row.ensemble_size)
-        if key in by_key:
-            raise ValidationError(f"two rows for backend {key[0]!r}, n={key[1]}")
-        by_key[key] = row
-    return by_key
+def refuse_shared_cells(cells) -> None:
+    """Refuses a (backend, n) cell given twice: its two rows would share a cell
+    of the result table."""
+    seen = set()
+    for cell in cells:
+        if cell in seen:
+            raise ValidationError(f"two rows for backend {cell[0]!r}, n={cell[1]}")
+        seen.add(cell)
 
 
 def result_table_text(rows) -> str:
@@ -337,7 +348,8 @@ def result_table_text(rows) -> str:
         raise ValidationError("no result rows to format")
     sizes = sorted({r.ensemble_size for r in rows})
     backends = list(dict.fromkeys(r.backend_name for r in rows))
-    by_key = rows_by_cell(rows)
+    refuse_shared_cells(r.cell for r in rows)
+    by_key = {r.cell: r for r in rows}
     header = ["backend"]
     for n in sizes:
         header += [f"het(n={n})", f"hom(n={n})", f"p(n={n})", f"r(n={n})"]

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,15 @@ HADAMARD = (math.pi / 2, 0.0, math.pi)
 def bell_circuit() -> Circuit:
     """Hadamard on qubit 0 then CX(0->1): marginals {00: 0.5, 11: 0.5}."""
     return Circuit(2, (UGate(0, *HADAMARD), CXGate(0, 1)), (0, 1))
+
+
+def load_perfbench(name: str):
+    """Module ``perfbench/<name>.py`` loaded from its file; perfbench is not a package."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def tv_distance(p, q) -> float:

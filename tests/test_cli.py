@@ -3,10 +3,12 @@ import math
 
 import pytest
 
+import qcens.cli as cli
 from qcens import Circuit, EvolutionConfig, UGate
 from qcens.cli import main
 from qcens.ensemble import Ensemble, FitnessReport, TestCase
 from qcens.evolution import Population
+from qcens.harness import compare_populations
 from qcens.iris import bundled_dataset_path
 from qcens.serialization import (
     config_to_obj,
@@ -336,12 +338,45 @@ MALFORMED_FILES = [
     pytest.param("rows", GOOD_ROWS.replace("ideal,3", "ideal,5.0"), id="rows-n-float"),
     pytest.param("rows", GOOD_ROWS.replace("0.8", "nan"), id="rows-median-nan"),
     pytest.param("rows", GOOD_ROWS + "ideal,3,0.5,0.4,0.01,0.2\n", id="rows-duplicate-cell"),
+    pytest.param("rows", GOOD_ROWS.replace("0.8", "0.80"), id="rows-median-trailing-zero"),
+    pytest.param("rows", GOOD_ROWS.replace("0.9", "1e0"), id="rows-effect-exponent"),
+    pytest.param("rows", GOOD_ROWS.replace("0.001", "1E-6"), id="rows-p-value-capital-e"),
     pytest.param("population", b"\xff\xfe{", id="population-non-utf8"),
     pytest.param("tests", b"\xff\n", id="tests-non-utf8"),
     pytest.param("rows", GOOD_ROWS.encode() + b"\xff\n", id="rows-non-utf8"),
     pytest.param("dataset", b"5.1,3.5,1.4,0.2,Iris-setosa\n\xff\n", id="dataset-non-utf8"),
     pytest.param("noise", GOOD_NOISE + "q = 1\n", id="noise-unknown-key"),
 ]
+
+
+@pytest.mark.parametrize("existing, error", [
+    (GOOD_ROWS, "two rows for backend 'ideal', n=3"),
+    (GOOD_ROWS.replace("0.8", "0.80"), "median_het cell '0.80' is not written as 0.8"),
+], ids=["duplicate-row", "malformed-file"])
+def test_compare_checks_the_rows_file_before_scoring(existing, error, tmp_path, capsys,
+                                                     monkeypatch):
+    scored = []
+
+    def counted(*args, **kwargs):
+        scored.append(args)
+        return compare_populations(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "compare_populations", counted)
+    het = noop_population(tmp_path, n_members=3)
+    hom = noop_population(tmp_path, n_members=1)
+    tests_path = tmp_path / "tests.jsonl"
+    write_test_cases([TestCase(expected=0, features=(0.0,) * 4)], tests_path)
+    rows_path = tmp_path / "rows.csv"
+    rows_path.write_text(existing)
+    written = rows_path.read_bytes()
+    argv = ["compare", "--het-population", str(het), "--hom-population", str(hom),
+            "--ensemble-size", "3", "--tests", str(tests_path), "--append-to", str(rows_path)]
+    assert main(argv) == 2
+    assert error in capsys.readouterr().err
+    assert scored == []
+    assert rows_path.read_bytes() == written
+    assert main([*argv[:-1], str(tmp_path / "fresh.csv")]) == 0
+    assert len(scored) == 1
 
 
 @pytest.mark.parametrize("role, content", MALFORMED_FILES)

@@ -4,12 +4,13 @@ public module-level name is read somewhere, every name exported in
 
 import ast
 import importlib
-import importlib.util
 from pathlib import Path
 
 import pytest
 
 import qcens
+
+from conftest import load_perfbench
 
 PACKAGE = Path(qcens.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -96,9 +97,7 @@ def test_every_exported_name_resolves():
 
 def test_every_benchmark_tracer_hook_resolves():
     """A renamed hook fails here, not only in a traced benchmark run."""
-    spec = importlib.util.spec_from_file_location("tracer", ROOT / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_perfbench("tracer")
     missing = []
     for _, where, attr, _ in tracer.HOOKS:
         module, _, cls = where.partition(":")

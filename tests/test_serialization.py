@@ -178,6 +178,13 @@ def test_result_number_cells_with_spaces_are_refused(row):
         result_rows_from_csv(f"{','.join(RESULT_FIELDS)}\n{row}\n")
 
 
+@pytest.mark.parametrize("cell", ["0.80", "1e0", "1E-6"])
+def test_result_float_cells_not_spelled_by_repr_are_refused(cell):
+    """The writer would write these back as ``0.8``, ``1.0`` and ``1e-06``."""
+    with pytest.raises(ParseError, match=f"p_value cell '{cell}' is not written as"):
+        result_rows_from_csv(f"{','.join(RESULT_FIELDS)}\nideal,5,0.8,0.7,{cell},0.5\n")
+
+
 def test_write_atomic_writes_every_file_or_none(tmp_path, monkeypatch):
     real_write_text = Path.write_text
 

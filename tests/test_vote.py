@@ -1,4 +1,5 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -40,6 +41,36 @@ def enumeration_vote_oracle(member_dists):
     for m in range(1, n):
         joint = (joint[:, :, None] * member_dists[m][:, None, :]).reshape(batch, -1)
     return joint @ enumeration_vote_matrix(k, n)
+
+
+@lru_cache(maxsize=None)
+def bincount_count_tables(k, n):
+    """Count-vector DP tables with scatter targets: per member step, ``target``
+    maps the flattened (count vector, next value) pair to the grown vector's
+    ``np.unique`` index; last, the (states, k) plurality split with uniform ties."""
+    steps = []
+    counts = np.eye(k, dtype=np.int64)
+    for _ in range(n - 1):
+        grown = (counts[:, None, :] + np.eye(k, dtype=np.int64)).reshape(-1, k)
+        counts, target = np.unique(grown, axis=0, return_inverse=True)
+        steps.append((target.ravel(), len(counts)))
+    winners = counts == counts.max(axis=1, keepdims=True)
+    return tuple(steps), winners / winners.sum(axis=1, keepdims=True)
+
+
+def bincount_vote_oracle(member_dists):
+    """Exact vote that holds P(count vector) as (batch, states) and scatters each
+    member step's (batch, states, k) joint with ``np.bincount``, (n, batch, k) ->
+    (batch, k).  ``_vote_batch`` must equal it bit for bit."""
+    n, batch, k = member_dists.shape
+    steps, split = bincount_count_tables(k, n)
+    prob = member_dists[0]
+    for dist, (target, states) in zip(member_dists[1:], steps):
+        joint = prob[:, :, None] * dist[:, None, :]
+        index = target + states * np.arange(batch)[:, None]
+        prob = np.bincount(index.ravel(), weights=joint.ravel(),
+                           minlength=batch * states).reshape(batch, states)
+    return prob @ split
 
 
 def mc_vote_oracle(member_dists, samples, rng):
@@ -140,6 +171,23 @@ def test_count_vector_dp_matches_enumeration_oracle(seed, k, n):
     member_dists = rng.dirichlet(np.ones(k), size=(n, 20))
     np.testing.assert_allclose(_vote_batch(member_dists),
                                enumeration_vote_oracle(member_dists), rtol=0, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    k=st.sampled_from([2, 4, 8]),
+    n=st.integers(1, 8),
+    batch=st.integers(1, 160),
+    rounded=st.booleans(),
+)
+def test_gathered_vote_is_bit_identical_to_the_bincount_scatter(seed, k, n, batch, rounded):
+    """Laws rounded to 2 decimals give zeros and ties among the summed terms."""
+    rng = np.random.default_rng(seed)
+    member_dists = rng.dirichlet(np.ones(k), size=(n, batch))
+    if rounded:
+        member_dists = np.round(member_dists, 2)
+    assert np.array_equal(_vote_batch(member_dists), bincount_vote_oracle(member_dists))
 
 
 def test_large_homogeneous_vote_is_exact_binomial_tail():
