@@ -20,7 +20,6 @@ from .ensemble import (
     Evaluator,
     FitnessReport,
     TestCase,
-    ensemble_fitness,
     replicate_homogeneous,
     vote_distribution,
 )
@@ -34,7 +33,7 @@ from .stats import MannWhitneyResult, mann_whitney, median
 __all__ = [
     "Circuit", "CXGate", "Gate", "UGate",
     "Ensemble", "Evaluator", "FitnessReport", "TestCase",
-    "ensemble_fitness", "replicate_homogeneous", "vote_distribution",
+    "replicate_homogeneous", "vote_distribution",
     "ParseError", "QcensError", "StructuralError", "ValidationError",
     "EvolutionConfig", "Population", "crossover", "evolve", "mutate", "random_circuit",
     "ZERO_NOISE", "NoiseModel", "run_noisy",

@@ -13,9 +13,10 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import serialization as ser
+from .ensemble import Evaluator
 from .errors import QcensError
 from .evolution import evolve
-from .harness import backend_name, compare_populations, evaluate_population
+from .harness import backend_name, compare_populations
 from .iris import encode_all, load_dataset, split
 from .noisefiles import resolve_noise
 
@@ -41,11 +42,10 @@ def cmd_evaluate(args) -> int:
     population = ser.read_population(args.population)
     tests = ser.read_test_cases(args.tests)
     noise = resolve_noise(args.noise)
-    shots = ser.parse_eval_mode(args.mode) if args.mode else None
-    fitnesses = evaluate_population(population.individuals, tests, noise=noise,
-                                    shots=shots, seed=args.seed or 0)
-    for index, fitness in enumerate(fitnesses):
-        print(f"{index},{fitness!r}")
+    shots = ser.parse_eval_mode(args.mode) if args.mode is not None else None
+    evaluator = Evaluator(tests, noise=noise, shots=shots, seed=args.seed or 0)
+    for index, report in enumerate(evaluator.score(population.individuals)):
+        print(f"{index},{report.fitness!r}")
     return 0
 
 
@@ -54,9 +54,10 @@ def cmd_compare(args) -> int:
     hom = ser.read_population(args.hom_population)
     tests = ser.read_test_cases(args.tests)
     noise = resolve_noise(args.noise)
-    if args.append_to:  # a malformed rows file, or a second row for one cell, is refused unscored
+    # a malformed rows file, a directory, or a second row for one cell is refused unscored
+    if args.append_to:
         path = Path(args.append_to)
-        rows = ser.decode_file(path, ser.result_rows_from_csv) if path.is_file() else []
+        rows = ser.decode_file(path, ser.result_rows_from_csv) if path.exists() else []
         ser.refuse_shared_cells([*(r.cell for r in rows),
                                  (backend_name(noise), args.ensemble_size)])
     row = compare_populations(het, hom, args.ensemble_size, tests, noise=noise)

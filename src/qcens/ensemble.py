@@ -181,24 +181,23 @@ def vote_distribution(member_dists) -> np.ndarray:
 
 def replicate_homogeneous(circuit: Circuit, n: int) -> Ensemble:
     """Homogeneous ensemble: the same circuit repeated n times."""
-    if n < 1:
-        raise ValidationError(f"ensemble size must be >= 1, got {n}")
     return Ensemble((circuit,) * n)
 
 
 class Evaluator:
     """Evaluates ensemble fitness against a fixed test set.
 
+    ``score`` scores a list of ensembles, and one call is one generation.
     Precomputes initialization states once and caches what each member slot
-    feeds the vote for two generations: the values looked up since the last
-    ``next_generation()`` and those of the generation before.  A circuit that
-    appears in many ensembles (elites, homogeneous replicas) or survives into
-    the next generation is simulated once; one absent for a whole generation
-    is simulated again.  ``shots=None`` feeds the exact member distributions
-    (member laws), cached per circuit.  Otherwise each slot feeds
-    ``shots``-sample empirical estimates of its circuit's law, cached per
-    (circuit, slot): test t of slot m is sampled from the RNG stream derived
-    from (seed, t, m), so results do not depend on evaluation order.
+    feeds the vote for two ``score`` calls: the values looked up in this call
+    and those of the call before.  A circuit that appears in many ensembles
+    (elites, homogeneous replicas) or survives into the next call is simulated
+    once; one absent for a whole call is simulated again.  ``shots=None`` feeds
+    the exact member distributions (member laws), cached per circuit.
+    Otherwise each slot feeds ``shots``-sample empirical estimates of its
+    circuit's law, cached per (circuit, slot): test t of slot m is sampled
+    from the RNG stream derived from (seed, t, m), so results do not depend on
+    evaluation order.
     """
 
     def __init__(self, tests, noise: NoiseModel | None = None,
@@ -231,9 +230,21 @@ class Evaluator:
             raise StructuralError("test cases were prepared for a different register width")
         return self._init_states
 
-    def next_generation(self) -> None:
-        """Keep only the values looked up since the last call, as the previous generation."""
+    def score(self, ensembles) -> list[FitnessReport]:
+        """Reports of ``ensembles`` in order, one generation: the values looked up
+        in the previous call stay cached, older ones go.  Each distinct ensemble
+        is voted once, and its repeats share its report."""
         self._previous, self._dist_cache = self._dist_cache, {}
+        # reports live for one call: a report kept across calls would skip the
+        # member lookups that carry laws into this call, and cost simulations
+        reports: dict[Ensemble, FitnessReport] = {}
+        out = []
+        for ensemble in ensembles:
+            report = reports.get(ensemble)
+            if report is None:
+                report = reports[ensemble] = self.ensemble_fitness(ensemble)
+            out.append(report)
+        return out
 
     def member_distributions(self, circuit: Circuit, slot: int = 0) -> np.ndarray:
         """What member slot ``slot`` feeds the vote for ``circuit``, shape (T, k):
@@ -285,9 +296,3 @@ class Evaluator:
                 "has_uint32": 0, "uinteger": 0}
             out[t] = sample_shots(dists[t], self.shots, self._rng)
         return out
-
-
-def ensemble_fitness(ensemble: Ensemble, tests, noise: NoiseModel | None = None,
-                     shots: int | None = None, seed: int = 0) -> FitnessReport:
-    """Fitness of one ensemble: mean expected-output probability over tests."""
-    return Evaluator(tests, noise=noise, shots=shots, seed=seed).ensemble_fitness(ensemble)

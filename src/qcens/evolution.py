@@ -183,13 +183,11 @@ def _tournament(fitnesses: list[float], config: EvolutionConfig,
 def evolve(config: EvolutionConfig, evolution_tests,
            noise: NoiseModel | None = None, log=None) -> Population:
     """Run the generational loop and return the final evaluated population."""
-    if not evolution_tests:
-        raise ValidationError("evolution test list must be non-empty")
     rng = np.random.default_rng(config.seed)
     evaluator = Evaluator(evolution_tests, noise=noise,
                           shots=config.shots, seed=config.seed)
     individuals = [random_ensemble(config, rng) for _ in range(config.population_size)]
-    reports = _evaluate_all(evaluator, individuals)
+    reports = evaluator.score(individuals)
     _log_generation(log, 0, reports)
     elite_count = math.ceil(config.elite_fraction * config.population_size)
     for generation in range(1, config.generations + 1):
@@ -212,16 +210,9 @@ def evolve(config: EvolutionConfig, evolution_tests,
                 if len(offspring) == config.population_size:
                     break
         individuals = offspring
-        reports = _evaluate_all(evaluator, individuals)
+        reports = evaluator.score(individuals)
         _log_generation(log, generation, reports)
     return Population(tuple(individuals), tuple(reports), config.generations, config)
-
-
-def _evaluate_all(evaluator: Evaluator, individuals) -> list[FitnessReport]:
-    # Laws of this generation and the one before stay cached: survivors are not
-    # simulated again, and memory is bounded by two generations' circuits.
-    evaluator.next_generation()
-    return [evaluator.ensemble_fitness(e) for e in individuals]
 
 
 def _log_generation(log, generation: int, reports) -> None:

@@ -46,13 +46,6 @@ class ExperimentPlan:
             raise ValidationError("size 1 must be included to build homogeneous baselines")
 
 
-def evaluate_population(individuals, tests, noise: NoiseModel | None = None,
-                        shots: int | None = None, seed: int = 0) -> list[float]:
-    """Fitness of every ensemble, in order, from one Evaluator and its cache."""
-    evaluator = Evaluator(tests, noise=noise, shots=shots, seed=seed)
-    return [evaluator.ensemble_fitness(e).fitness for e in individuals]
-
-
 def backend_name(noise: NoiseModel | None) -> str:
     """The result-row backend of an evaluation: ``ideal``, or the noise model's name."""
     return noise.name if noise is not None else "ideal"
@@ -67,7 +60,7 @@ def compare_populations(het: Population, hom_base: Population, n: int, tests,
     if {len(e) for e in hom_base.individuals} != {1}:
         raise ValidationError("homogeneous base population must have ensemble size 1")
     hom = [replicate_homogeneous(e.circuits[0], n) for e in hom_base.individuals]
-    fits = evaluate_population([*het.individuals, *hom], tests, noise=noise)
+    fits = [r.fitness for r in Evaluator(tests, noise=noise).score([*het.individuals, *hom])]
     het_fits, hom_fits = fits[:len(het.individuals)], fits[len(het.individuals):]
     result = mann_whitney(het_fits, hom_fits)
     return ResultRow(

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcens import Circuit, CXGate, UGate
+from qcens import Circuit, CXGate, Evaluator, UGate
 
 X = (math.pi, 0.0, math.pi)
 HADAMARD = (math.pi / 2, 0.0, math.pi)
@@ -23,6 +23,19 @@ def load_perfbench(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def count_votes(monkeypatch) -> list:
+    """Patch ``Evaluator.ensemble_fitness`` to record each ensemble it votes."""
+    voted = []
+    real = Evaluator.ensemble_fitness
+
+    def counting_ensemble_fitness(self, members):
+        voted.append(members)
+        return real(self, members)
+
+    monkeypatch.setattr(Evaluator, "ensemble_fitness", counting_ensemble_fitness)
+    return voted
 
 
 def tv_distance(p, q) -> float:

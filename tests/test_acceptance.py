@@ -22,7 +22,7 @@ from qcens import (
     run_noisy,
     vote_distribution,
 )
-from qcens.ensemble import Ensemble, TestCase, ensemble_fitness
+from qcens.ensemble import Ensemble, Evaluator, TestCase
 from qcens.harness import ExperimentPlan, compare_populations, run_experiment
 from qcens.noisefiles import load_preset, preset_names
 from qcens.statevector import apply_cx, apply_u, zero_state
@@ -217,7 +217,7 @@ def test_criterion_8_fuzzed_invariants():
                 expected=int(rng.integers(circuit.num_output_values)),
                 features=tuple(rng.uniform(0, math.pi, num_qubits)),
             )
-            fit = ensemble_fitness(Ensemble(members), [test], noise=noise).fitness
+            fit = Evaluator([test], noise=noise).score([Ensemble(members)])[0].fitness
             ok &= 0.0 <= fit <= 1.0
         if not ok:
             break

@@ -265,6 +265,18 @@ def test_evaluate_negative_seed_exits_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_evaluate_empty_mode_exits_2(tmp_path, capsys):
+    population = noop_population(tmp_path)
+    tests = tmp_path / "tests.jsonl"
+    write_test_cases([TestCase(expected=0, features=(0.0,) * 4)], tests)
+    code = main(["evaluate", "--population", str(population), "--tests", str(tests),
+                 "--mode", ""])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "eval mode must be 'exact' or 'shots:<count>', got ''" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("outputs", [
     ["--output", "cases", "--evolution-out", "evo", "--evaluation-out", "eva"],
     ["--output", "cases", "--evaluation-out", "eva"],
@@ -352,7 +364,8 @@ MALFORMED_FILES = [
 @pytest.mark.parametrize("existing, error", [
     (GOOD_ROWS, "two rows for backend 'ideal', n=3"),
     (GOOD_ROWS.replace("0.8", "0.80"), "median_het cell '0.80' is not written as 0.8"),
-], ids=["duplicate-row", "malformed-file"])
+    (None, "Is a directory"),
+], ids=["duplicate-row", "malformed-file", "directory"])
 def test_compare_checks_the_rows_file_before_scoring(existing, error, tmp_path, capsys,
                                                      monkeypatch):
     scored = []
@@ -367,14 +380,17 @@ def test_compare_checks_the_rows_file_before_scoring(existing, error, tmp_path, 
     tests_path = tmp_path / "tests.jsonl"
     write_test_cases([TestCase(expected=0, features=(0.0,) * 4)], tests_path)
     rows_path = tmp_path / "rows.csv"
-    rows_path.write_text(existing)
-    written = rows_path.read_bytes()
+    if existing is None:
+        rows_path.mkdir()
+    else:
+        rows_path.write_text(existing)
+    files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
     argv = ["compare", "--het-population", str(het), "--hom-population", str(hom),
             "--ensemble-size", "3", "--tests", str(tests_path), "--append-to", str(rows_path)]
     assert main(argv) == 2
     assert error in capsys.readouterr().err
     assert scored == []
-    assert rows_path.read_bytes() == written
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == files
     assert main([*argv[:-1], str(tmp_path / "fresh.csv")]) == 0
     assert len(scored) == 1
 

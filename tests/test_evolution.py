@@ -24,7 +24,9 @@ from qcens.noisefiles import load_preset
 from qcens.serialization import population_to_obj
 from qcens.statevector import run_ideal
 
-from test_vote import enumeration_vote_oracle
+from conftest import count_votes, load_perfbench
+
+oracle = load_perfbench("oracle")
 
 
 def small_config(**kw):
@@ -215,7 +217,7 @@ def test_population_does_not_depend_on_vote_summation_order(monkeypatch):
     config = EvolutionConfig(num_qubits=4, measured_qubits=(0, 1), population_size=20,
                              generations=30, ensemble_size=5, seed=0)
     by_dp = evolve(config, tests)
-    monkeypatch.setattr(ensemble, "_vote_batch", enumeration_vote_oracle)
+    monkeypatch.setattr(ensemble, "_vote_batch", oracle.vote)
     by_enumeration = evolve(config, tests)
     assert by_dp.individuals == by_enumeration.individuals
 
@@ -226,16 +228,18 @@ IRIS_TESTS = split(encode_all(load_dataset(bundled_dataset_path())), 100, 0)[0][
 @pytest.mark.parametrize("noise, shots", [(None, None), ("storm", None), (None, 100)],
                          ids=["ideal", "storm", "shots-100"])
 def test_two_generation_cache_evolves_the_uncached_population(monkeypatch, noise, shots):
-    """Oracle: a cache emptied at every generation simulates every circuit again."""
+    """Oracle: a fresh Evaluator for every ensemble simulates every circuit again
+    and votes every repeat again."""
     config = EvolutionConfig(num_qubits=4, measured_qubits=(0, 1), population_size=12,
                              generations=8, ensemble_size=3, gate_cap=6, seed=2, shots=shots)
     model = load_preset(noise) if noise else None
     cached = evolve(config, IRIS_TESTS, noise=model)
 
-    def forget_everything(self):
-        self._dist_cache, self._previous = {}, {}
+    def score_uncached(self, ensembles):
+        return [Evaluator(self.tests, noise=self.noise, shots=self.shots,
+                          seed=self.seed).ensemble_fitness(e) for e in ensembles]
 
-    monkeypatch.setattr(Evaluator, "next_generation", forget_everything)
+    monkeypatch.setattr(Evaluator, "score", score_uncached)
     assert population_to_obj(evolve(config, IRIS_TESTS, noise=model)) == \
         population_to_obj(cached)
 
@@ -266,6 +270,17 @@ def test_circuit_absent_for_a_generation_is_simulated_again(monkeypatch):
     a, b = (Circuit(2, (UGate(q, 1.0, 0.0, 0.0),), (0, 1)) for q in (0, 1))
     evaluator = Evaluator(TRIVIAL_TEST)
     for generation in ([a, a, b], [a], [a, b]):
-        evaluator.next_generation()
-        evaluator.ensemble_fitness(Ensemble(tuple(generation)))
+        evaluator.score([Ensemble(tuple(generation))])
     assert calls == [a, b, b]  # a stays cached; b, absent from the middle generation, does not
+
+
+def test_repeated_ensemble_is_voted_once_per_score_call(monkeypatch):
+    voted = count_votes(monkeypatch)
+    a, b = (Circuit(2, (UGate(q, 1.0, 0.0, 0.0),), (0, 1)) for q in (0, 1))
+    first, second = Ensemble((a, b)), Ensemble((b, a))
+    evaluator = Evaluator(TRIVIAL_TEST)
+    reports = evaluator.score([first, second, Ensemble((a, b)), first])
+    assert voted == [first, second]
+    assert reports[0] is reports[2] is reports[3] and reports[1] is not reports[0]
+    evaluator.score([first])  # reports are not kept from one call to the next
+    assert voted == [first, second, first]

@@ -6,11 +6,14 @@ import pytest
 import qcens.ensemble as ensemble
 import qcens.harness as harness
 from qcens import EvolutionConfig, ValidationError, evolve
+from qcens.ensemble import replicate_homogeneous
 from qcens.harness import ExperimentPlan, compare_populations, run_experiment
 from qcens.iris import bundled_dataset_path, encode_all, load_dataset, split
 from qcens.serialization import read_population, result_rows_from_csv
 
-from test_vote import enumeration_vote_oracle
+from conftest import count_votes, load_perfbench
+
+oracle = load_perfbench("oracle")
 
 
 def small_plan(tmp_path, **kw):
@@ -166,6 +169,16 @@ def test_compare_row_does_not_depend_on_vote_summation_order(monkeypatch):
     hom = evolve(replace(config, ensemble_size=1), train)
     row = compare_populations(het, hom, 5, evaluation)
     by_dp = ensemble._vote_batch
-    for vote in (enumeration_vote_oracle, lambda dists: by_dp(dists[::-1])):
+    for vote in (oracle.vote, lambda dists: by_dp(dists[::-1])):
         monkeypatch.setattr(ensemble, "_vote_batch", vote)
         assert compare_populations(het, hom, 5, evaluation) == row
+
+
+def test_compare_votes_each_distinct_ensemble_once(tmp_path, monkeypatch):
+    result = run_experiment(small_plan(tmp_path))
+    het, hom = result.populations[3], result.populations[1]
+    replicas = [replicate_homogeneous(e.circuits[0], 3) for e in hom.individuals]
+    voted = count_votes(monkeypatch)
+    compare_populations(het, hom, 3, result.evaluation_tests)
+    assert len(voted) == len(set(het.individuals)) + len(set(replicas))
+    assert len(voted) < len(het.individuals) + len(replicas)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qcens import Circuit, NoiseModel, UGate, ValidationError, ZERO_NOISE
-from qcens.ensemble import Ensemble, TestCase, ensemble_fitness
+from qcens.ensemble import Ensemble, Evaluator, TestCase
 from qcens.noise import _depolarize_in_place, _readout_matrix, run_noisy
 from qcens.noisefiles import (
     load_noise_file,
@@ -149,7 +149,7 @@ def test_bell_fitness_degrades_monotonically_with_noise():
     values = []
     for p in (0.0, 0.05, 0.1, 0.2):
         noise = NoiseModel(p, p, 0.0, 0.0)
-        report = ensemble_fitness(Ensemble((circuit,)), [test], noise=noise)
+        report = Evaluator([test], noise=noise).score([Ensemble((circuit,))])[0]
         values.append(report.fitness)
     assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 

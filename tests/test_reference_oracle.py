@@ -53,5 +53,8 @@ def test_evaluator_matches_the_reference_oracle(seed, num_qubits, n, num_tests, 
     report = evaluator.ensemble_fitness(members)
     np.testing.assert_allclose(report.per_test, scorer.per_test(members.circuits, laws),
                                rtol=0, atol=oracle.TOL)
-    evaluator.next_generation()
-    assert evaluator.ensemble_fitness(members) == report
+    assert evaluator.score([members])[0] == report
+
+
+def test_oracle_passes_its_own_known_cases():
+    assert oracle.selfcheck() == []

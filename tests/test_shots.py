@@ -14,27 +14,21 @@ from qcens.iris import bundled_dataset_path, encode_all, load_dataset, split
 from qcens.serialization import read_population, write_population
 from qcens.statevector import sample_shots
 
-from conftest import random_test_circuit
+from conftest import load_perfbench, random_test_circuit
 
 IRIS_TESTS = split(encode_all(load_dataset(bundled_dataset_path())), 100, 3)[0][:30]
+oracle = load_perfbench("oracle")
 
 
-def shot_degrade_oracle(member_dists: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """(n, T, k) exact laws -> shot estimates, with a fresh ``SeedSequence`` and
-    ``Generator`` for every (test, member) pair."""
-    n, num_tests, _ = member_dists.shape
-    out = np.empty_like(member_dists)
-    for t in range(num_tests):
-        for m in range(n):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, t, m)))
-            out[m, t] = sample_shots(member_dists[m, t], shots, rng)
-    return out
+def shot_estimates(laws, shots: int, seed: int) -> np.ndarray:
+    """(n, T, k) exact laws -> the oracle's shot estimates of each member slot."""
+    return np.stack([oracle.shot_estimates(law, shots, seed, m) for m, law in enumerate(laws)])
 
 
 def oracle_report(members, tests, shots: int, seed: int) -> FitnessReport:
     exact = Evaluator(tests)
-    laws = np.stack([exact.member_distributions(c) for c in members])
-    vote = _vote_batch(shot_degrade_oracle(laws, shots, seed))
+    laws = [exact.member_distributions(c) for c in members]
+    vote = _vote_batch(shot_estimates(laws, shots, seed))
     per_test = vote[np.arange(len(tests)), [t.expected for t in tests]]
     return FitnessReport(round(float(per_test.mean()), ensemble.SELECTION_DECIMALS), per_test)
 
@@ -46,9 +40,8 @@ def test_shot_fitness_matches_the_per_pair_seed_sequence_oracle(n, shots):
     pool = [Circuit(4, random_test_circuit(rng, 4).gates, (0, 1)) for _ in range(n + 2)]
     evaluator = Evaluator(IRIS_TESTS, shots=shots, seed=17)
     for generation in range(3):  # cache hits, slot moves and a fresh pool member
-        evaluator.next_generation()
         members = [pool[(generation + m) % len(pool)] for m in range(n)]
-        got = evaluator.ensemble_fitness(Ensemble(members))
+        got, = evaluator.score([Ensemble(members)])
         want = oracle_report(members, IRIS_TESTS, shots, 17)
         assert (got.fitness, list(got.per_test)) == (want.fitness, list(want.per_test))
 
@@ -72,9 +65,8 @@ def test_circuit_slot_is_sampled_once_per_two_generations(monkeypatch):
     evaluator = Evaluator(tests, shots=50, seed=4)
     per_generation = []
     for generation in ([a, b], [a, b], [a, c], [a, b]):
-        evaluator.next_generation()
         before = len(draws)
-        evaluator.ensemble_fitness(Ensemble(tuple(generation)))
+        evaluator.score([Ensemble(tuple(generation))])
         per_generation.append((len(draws) - before) // len(tests))
     # (a, 0) stays cached throughout; (b, 1) is absent from the third generation
     assert per_generation == [2, 0, 1, 1]
@@ -88,7 +80,7 @@ def test_one_circuit_in_two_slots_gets_each_slots_estimate():
     laws = Evaluator(tests).member_distributions(circuit)
     estimates = [evaluator.member_distributions(circuit, slot) for slot in (0, 1)]
     assert not np.array_equal(estimates[0], estimates[1])
-    want = shot_degrade_oracle(np.stack([laws, laws]), 100, 8)
+    want = shot_estimates([laws, laws], 100, 8)
     np.testing.assert_array_equal(np.stack(estimates), want)
     assert report == oracle_report([circuit, circuit], tests, 100, 8)
 

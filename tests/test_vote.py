@@ -12,35 +12,15 @@ from qcens import (
     StructuralError,
     UGate,
     ValidationError,
-    ensemble_fitness,
     replicate_homogeneous,
     vote_distribution,
 )
 from qcens.ensemble import Evaluator, TestCase, _vote_batch
 from qcens.noisefiles import load_preset
 
-from conftest import bell_circuit, random_test_circuit, tv_distance
+from conftest import bell_circuit, load_perfbench, random_test_circuit, tv_distance
 
-
-def enumeration_vote_matrix(k, n):
-    """(k**n, k) matrix mapping each joint member outcome to its vote split.
-
-    Row j is the joint outcome whose base-k digits are the member values; the
-    row puts 1/|W| on each value in the set W of plurality winners.
-    """
-    outcomes = (np.arange(k**n)[:, None] // k ** np.arange(n)[None, :]) % k
-    counts = (outcomes[:, :, None] == np.arange(k)[None, None, :]).sum(axis=1)
-    winners = counts == counts.max(axis=1, keepdims=True)
-    return winners / winners.sum(axis=1, keepdims=True)
-
-
-def enumeration_vote_oracle(member_dists):
-    """Exact vote by enumerating all k**n joint outcomes, (n, batch, k) -> (batch, k)."""
-    n, batch, k = member_dists.shape
-    joint = member_dists[0]
-    for m in range(1, n):
-        joint = (joint[:, :, None] * member_dists[m][:, None, :]).reshape(batch, -1)
-    return joint @ enumeration_vote_matrix(k, n)
+oracle = load_perfbench("oracle")
 
 
 @lru_cache(maxsize=None)
@@ -170,7 +150,7 @@ def test_count_vector_dp_matches_enumeration_oracle(seed, k, n):
     rng = np.random.default_rng(seed)
     member_dists = rng.dirichlet(np.ones(k), size=(n, 20))
     np.testing.assert_allclose(_vote_batch(member_dists),
-                               enumeration_vote_oracle(member_dists), rtol=0, atol=1e-12)
+                               oracle.vote(member_dists), rtol=0, atol=1e-12)
 
 
 @settings(deadline=None, max_examples=150)
@@ -225,7 +205,7 @@ def test_homogeneous_binomial_formula():
     theta = 2 * math.asin(math.sqrt(p))
     circuit = Circuit(1, (UGate(0, theta, 0.0, 0.0),), (0,))
     ensemble = replicate_homogeneous(circuit, 3)
-    report = ensemble_fitness(ensemble, [TestCase(expected=1, features=(0.0,))])
+    report = Evaluator([TestCase(expected=1, features=(0.0,))]).score([ensemble])[0]
     expected = p**3 + 3 * p**2 * (1 - p)
     assert abs(report.fitness - expected) < 1e-9
     # must agree with the generic vote enumeration
@@ -238,24 +218,24 @@ def test_replicate_homogeneous_validation_and_unanimity():
     with pytest.raises(ValidationError):
         replicate_homogeneous(circuit, 0)
     test = TestCase(expected=0, features=(0.0, 0.0))
-    single = ensemble_fitness(Ensemble((circuit,)), [test]).fitness
+    single = Evaluator([test]).score([Ensemble((circuit,))])[0].fitness
     # deterministic-unanimous property holds for a no-op circuit
     noop = Circuit(2, (), (0, 1))
     for n in (1, 7):
-        assert ensemble_fitness(replicate_homogeneous(noop, n), [test]).fitness == 1.0
+        assert Evaluator([test]).score([replicate_homogeneous(noop, n)])[0].fitness == 1.0
     assert abs(single - 0.5) < 1e-12
 
 
 def test_fitness_noop_circuits():
     noop = Circuit(4, (), (0, 1))
     ensemble = Ensemble((noop, noop, noop))
-    report = ensemble_fitness(ensemble, [TestCase(expected=0, features=(0.0,) * 4)])
+    report = Evaluator([TestCase(expected=0, features=(0.0,) * 4)]).score([ensemble])[0]
     assert report.fitness == 1.0
 
 
 def test_fitness_bell_single_member():
-    report = ensemble_fitness(Ensemble((bell_circuit(),)),
-                              [TestCase(expected=0, features=(0.0, 0.0))])
+    report = Evaluator([TestCase(expected=0, features=(0.0, 0.0))]).score(
+        [Ensemble((bell_circuit(),))])[0]
     assert abs(report.fitness - 0.5) < 1e-12
 
 
@@ -263,23 +243,23 @@ def test_fitness_is_mean_of_per_test():
     circuit = bell_circuit()
     tests = [TestCase(expected=0, features=(0.0, 0.0)),
              TestCase(expected=3, features=(math.pi, math.pi))]
-    report = ensemble_fitness(Ensemble((circuit,)), tests)
+    report = Evaluator(tests).score([Ensemble((circuit,))])[0]
     assert abs(report.fitness - sum(report.per_test) / len(report.per_test)) < 1e-12
 
 
 def test_fitness_shots_mode_deterministic():
     circuit = bell_circuit()
     tests = [TestCase(expected=0, features=(0.0, 0.0))]
-    a = ensemble_fitness(Ensemble((circuit,)), tests, shots=1000, seed=9)
-    b = ensemble_fitness(Ensemble((circuit,)), tests, shots=1000, seed=9)
+    a = Evaluator(tests, shots=1000, seed=9).score([Ensemble((circuit,))])[0]
+    b = Evaluator(tests, shots=1000, seed=9).score([Ensemble((circuit,))])[0]
     assert a == b
-    c = ensemble_fitness(Ensemble((circuit,)), tests, shots=1000, seed=10)
+    c = Evaluator(tests, shots=1000, seed=10).score([Ensemble((circuit,))])[0]
     assert 0.0 <= c.fitness <= 1.0
 
 
 def test_fitness_rejects_empty_tests():
     with pytest.raises(ValidationError):
-        ensemble_fitness(Ensemble((bell_circuit(),)), [])
+        Evaluator([]).score([Ensemble((bell_circuit(),))])
 
 
 def test_ensemble_members_must_match():
@@ -289,8 +269,8 @@ def test_ensemble_members_must_match():
 
 def test_expected_value_must_fit_output_domain():
     with pytest.raises(ValidationError):
-        ensemble_fitness(Ensemble((bell_circuit(),)),
-                         [TestCase(expected=5, features=(0.0, 0.0))])
+        Evaluator([TestCase(expected=5, features=(0.0, 0.0))]).score(
+            [Ensemble((bell_circuit(),))])
 
 
 def test_test_case_requires_exactly_one_init_form():
@@ -319,17 +299,17 @@ def test_features_case_and_its_init_gates_twin_score_the_same(rng):
              for c in cases]
     members = tuple(Circuit(4, random_test_circuit(rng, 4).gates, (0, 1)) for _ in range(3))
     for noise in (None, load_preset("storm")):
-        assert (ensemble_fitness(Ensemble(members), cases, noise=noise)
-                == ensemble_fitness(Ensemble(members), twins, noise=noise))
+        assert (Evaluator(cases, noise=noise).score([Ensemble(members)])
+                == Evaluator(twins, noise=noise).score([Ensemble(members)]))
 
 
 def test_non_finite_feature_is_refused_at_evaluation():
     case = TestCase(expected=0, features=(0.0, math.nan))
     with pytest.raises(ValidationError, match="not finite"):
-        ensemble_fitness(Ensemble((bell_circuit(),)), [case])
+        Evaluator([case]).score([Ensemble((bell_circuit(),))])
     with pytest.raises(StructuralError, match="3 features"):
-        ensemble_fitness(Ensemble((bell_circuit(),)),
-                         [TestCase(expected=0, features=(0.0, 0.0, 0.0))])
+        Evaluator([TestCase(expected=0, features=(0.0, 0.0, 0.0))]).score(
+            [Ensemble((bell_circuit(),))])
 
 
 def test_evaluator_refuses_negative_seed():
