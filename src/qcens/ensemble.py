@@ -25,7 +25,7 @@ import numpy as np
 from .circuits import Circuit, UGate
 from .errors import StructuralError, ValidationError
 from .noise import NoiseModel, run_noisy
-from .statevector import evolve_state, run_ideal, sample_shots, zero_state
+from .statevector import evolve_state, run_ideal, sample_shots
 
 # Ensemble fitness is reported rounded to this many decimals.  Fitnesses that
 # are equal in exact arithmetic but differ in their last bits, by the summation
@@ -99,7 +99,7 @@ class TestCase:
                 )
             gates = tuple(UGate(j, a, 0.0, 0.0) for j, a in enumerate(self.features))
         init_circuit = Circuit(num_qubits, gates, tuple(range(num_qubits)))
-        return evolve_state(init_circuit, zero_state(num_qubits))
+        return evolve_state(init_circuit, None)
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,8 +205,8 @@ class Evaluator:
         self.tests = list(tests)
         if not self.tests:
             raise ValidationError("test list must be non-empty")
-        if shots is not None and shots < 1:
-            raise ValidationError(f"shots must be >= 1, got {shots}")
+        if shots is not None and not 1 <= shots <= 2**63 - 1:  # numpy's multinomial bound
+            raise ValidationError(f"shots must be in [1, 2**63 - 1], got {shots}")
         if seed < 0:
             raise ValidationError("seed must be >= 0")
         self.noise = noise
@@ -217,8 +217,8 @@ class Evaluator:
         self._max_expected = int(self._expected.max())
         self._dist_cache: dict = {}  # key: circuit, or (circuit, slot) with shots
         self._previous: dict = {}
-        # per slot, the (state, inc) of each test's PCG64 stream before its first draw
-        self._streams: dict[int, list[tuple[int, int]]] = {}
+        # per slot, the state of each test's PCG64 stream before its first draw
+        self._streams: dict[int, list[dict]] = {}
         self._rng = np.random.default_rng(0)  # restarted from a stream before each draw
 
     def _states_for(self, num_qubits: int) -> np.ndarray:
@@ -286,13 +286,11 @@ class Evaluator:
         (seed, t, slot), restarted from its start state, derived once per slot."""
         streams = self._streams.get(slot)
         if streams is None:
-            starts = (np.random.PCG64(np.random.SeedSequence((self.seed, t, slot))).state["state"]
-                      for t in range(len(self.tests)))
-            streams = self._streams[slot] = [(s["state"], s["inc"]) for s in starts]
+            streams = self._streams[slot] = [
+                np.random.PCG64(np.random.SeedSequence((self.seed, t, slot))).state
+                for t in range(len(self.tests))]
         out = np.empty_like(dists)
-        for t, (state, inc) in enumerate(streams):
-            self._rng.bit_generator.state = {
-                "bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                "has_uint32": 0, "uinteger": 0}
+        for t, start in enumerate(streams):
+            self._rng.bit_generator.state = start
             out[t] = sample_shots(dists[t], self.shots, self._rng)
         return out

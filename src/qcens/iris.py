@@ -94,8 +94,8 @@ def split(items, n_evolution: int, seed: int, labels=None) -> tuple[list, list]:
 
     With ``labels`` (one per item) the split is stratified: each label gets an
     equal share of the evolution set, the first labels in sorted order one
-    more when the shares do not divide evenly.  Without, every item shares
-    one label.
+    more when the shares do not divide evenly; a label with fewer items than
+    its share is refused.  Without, every item shares one label.
     """
     items = list(items)
     total = len(items)
@@ -115,8 +115,13 @@ def split(items, n_evolution: int, seed: int, labels=None) -> tuple[list, list]:
     for i, lab in enumerate(labels):
         by_label.setdefault(lab, []).append(i)
     quota, remainder = divmod(n_evolution, len(by_label))
-    for extra, (_, indices) in enumerate(sorted(by_label.items())):
-        take = quota + (1 if extra < remainder else 0)
+    groups = sorted(by_label.items())
+    takes = [quota + (1 if extra < remainder else 0) for extra in range(len(groups))]
+    for (label, indices), take in zip(groups, takes):  # refused before any draw
+        if take > len(indices):
+            raise ValidationError(
+                f"label {label!r} has {len(indices)} items, fewer than its share {take}")
+    for (_, indices), take in zip(groups, takes):
         perm = rng.permutation(len(indices))
         chosen.update(indices[i] for i in perm[:take])
     evolution = [items[i] for i in range(total) if i in chosen]

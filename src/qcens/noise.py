@@ -18,8 +18,8 @@ from functools import reduce
 import numpy as np
 
 from .circuits import Circuit, UGate
-from .errors import StructuralError, ValidationError
-from .statevector import _cx_permutation, _value_map, u_matrix, zero_state
+from .errors import ValidationError
+from .statevector import _cx_permutation, _initial_state, _value_map, u_matrix
 
 MAX_DENSITY_QUBITS = 10
 
@@ -100,13 +100,7 @@ def run_noisy(circuit: Circuit, init: np.ndarray | None = None,
         raise ValidationError(
             f"noisy simulation capped at {MAX_DENSITY_QUBITS} qubits, circuit has {n}"
         )
-    if init is None:
-        init = zero_state(n)
-    if init.shape[-1] != 1 << n:
-        raise StructuralError(
-            f"init dimension {init.shape[-1]} does not match {n}-qubit circuit"
-        )
-    init = np.asarray(init, dtype=np.complex128)
+    init = _initial_state(circuit, init)
     rho = np.einsum("...i,...j->...ij", init, np.conj(init))  # |init><init|
     # gates update rho in place, with these two buffers as scratch: full-size
     # temporaries per gate would make the allocator return and re-fault memory

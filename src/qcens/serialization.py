@@ -188,6 +188,8 @@ def config_to_obj(config: EvolutionConfig) -> dict:
 def config_from_obj(obj: dict) -> EvolutionConfig:
     """Inverse of ``config_to_obj``; absent fields take the ``EvolutionConfig`` defaults."""
     obj = dict(obj)
+    if "shots" in obj:  # a field of EvolutionConfig, but files set it as eval_mode
+        raise ParseError("unknown config key 'shots'; set the evaluation mode with eval_mode")
     for field in fields(EvolutionConfig):
         read = {"int": _json_int, "float": _json_float}.get(field.type)
         if read is not None and field.name in obj:

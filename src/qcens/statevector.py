@@ -42,61 +42,62 @@ def zero_state(num_qubits: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _pair_indices(num_qubits: int, target: int) -> tuple[np.ndarray, np.ndarray]:
-    """Basis indices with target bit 0, and the partners with target bit 1."""
-    idx = np.arange(1 << num_qubits)
-    i0 = idx[(idx >> target) & 1 == 0]
-    return i0, i0 | (1 << target)
-
-
-@lru_cache(maxsize=None)
 def _cx_permutation(num_qubits: int, control: int, target: int) -> np.ndarray:
     idx = np.arange(1 << num_qubits)
     return idx ^ (((idx >> control) & 1) << target)
 
 
-def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
-    """Apply one gate after checking it against the state's register width."""
-    dim = state.shape[-1]
-    n = dim.bit_length() - 1
-    if dim != 1 << n:
-        raise StructuralError(f"state dimension {dim} is not a power of two")
-    gate.validate(n)
-    return _apply_gate(state, n, gate)
-
-
 def apply_u(state: np.ndarray, target: int, theta: float, phi: float, lam: float) -> np.ndarray:
     """Apply a U gate to the target qubit; returns a new state array."""
-    return apply_gate(state, UGate(target, theta, phi, lam))
+    return _run_gate(state, UGate(target, theta, phi, lam))
 
 
 def apply_cx(state: np.ndarray, control: int, target: int) -> np.ndarray:
     """Apply a controlled-not gate; returns a new state array."""
-    return apply_gate(state, CXGate(control, target))
+    return _run_gate(state, CXGate(control, target))
+
+
+def _run_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
+    """Run ``gate`` as a one-gate circuit on the state's register width, so
+    ``Circuit`` checks the gate and ``evolve_state`` the width."""
+    n = state.shape[-1].bit_length() - 1
+    return evolve_state(Circuit(n, (gate,), (0,)), state)
 
 
 def _apply_gate(state: np.ndarray, n: int, gate: Gate) -> np.ndarray:
-    """``apply_gate`` without its checks, for gates already validated on n qubits."""
+    """New state after one gate already validated on n qubits.  U reads the
+    amplitude pairs of its target bit t as axis -2 of a (..., 2**(n-1-t), 2, 2**t)
+    view of the state."""
     if isinstance(gate, CXGate):
         return state[..., _cx_permutation(n, gate.control, gate.target)]
     mat = u_matrix(gate.theta, gate.phi, gate.lam)
-    i0, i1 = _pair_indices(n, gate.target)
-    out = np.empty_like(state)
-    a = state[..., i0]
-    b = state[..., i1]
-    out[..., i0] = mat[0, 0] * a + mat[0, 1] * b
-    out[..., i1] = mat[1, 0] * a + mat[1, 1] * b
-    return out
+    pairs = state.reshape(state.shape[:-1] + (1 << (n - 1 - gate.target), 2, 1 << gate.target))
+    a, b = pairs[..., 0, :], pairs[..., 1, :]
+    out = np.empty_like(pairs)
+    for i in (0, 1):  # mat[i, 0] * a + mat[i, 1] * b, one temporary fewer
+        row = mat[i, 0] * a
+        row += mat[i, 1] * b
+        out[..., i, :] = row
+    return out.reshape(state.shape)
 
 
-def evolve_state(circuit: Circuit, init: np.ndarray) -> np.ndarray:
-    """Final state of a validated circuit, so its gates are not checked again."""
+def _initial_state(circuit: Circuit, init: np.ndarray | None) -> np.ndarray:
+    """Where a run of ``circuit`` starts: |0...0> for ``None``, else ``init`` (one
+    state or a batch) as complex128, after checking its width."""
+    if init is None:
+        return zero_state(circuit.num_qubits)
     if init.shape[-1] != 1 << circuit.num_qubits:
         raise StructuralError(
             f"init dimension {init.shape[-1]} does not match "
             f"{circuit.num_qubits}-qubit circuit"
         )
-    state = np.asarray(init, dtype=np.complex128)
+    return np.asarray(init, dtype=np.complex128)
+
+
+def evolve_state(circuit: Circuit, init: np.ndarray | None) -> np.ndarray:
+    """Final state of a validated circuit run from ``init`` (|0...0> for ``None``);
+    its gates are not checked again."""
+    state = _initial_state(circuit, init)
     for gate in circuit.gates:
         state = _apply_gate(state, circuit.num_qubits, gate)
     return state
@@ -118,8 +119,6 @@ def run_ideal(circuit: Circuit, init: np.ndarray | None = None) -> np.ndarray:
     ``init`` defaults to the all-zeros state.  A batch of initial states (one
     per row) yields a batch of distributions.
     """
-    if init is None:
-        init = zero_state(circuit.num_qubits)
     probs = np.abs(evolve_state(circuit, init)) ** 2
     return probs @ _value_map(circuit.num_qubits, circuit.measured_qubits)
 

@@ -277,6 +277,42 @@ def test_evaluate_empty_mode_exits_2(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["evaluate", "evolve"])
+def test_shot_count_above_the_int64_range_exits_2(trivial_setup, tmp_path, capsys, command):
+    config_path, tests_path = trivial_setup
+    out = tmp_path / "pop.json"
+    argv = {"evaluate": ["evaluate", "--population", str(noop_population(tmp_path)),
+                         "--mode", "shots:9223372036854775808"],
+            "evolve": ["evolve", "--config", str(config_path), "--population", str(out),
+                       "--mode", "shots:99999999999999999999"]}[command]
+    code = main([*argv, "--tests", str(tests_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error: shots must be in [1, 2**63 - 1], got ")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, field, expected", [
+    ("--seed", "9", "seed", 9),
+    ("--qubits", "3", "num_qubits", 3),
+    ("--ensemble-size", "2", "ensemble_size", 2),
+    ("--mode", "shots:10", "shots", 10),
+], ids=["seed", "qubits", "ensemble-size", "mode"])
+def test_evolve_overrides_reach_the_written_config(tmp_path, capsys, flag, value, field,
+                                                   expected):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(SMALL_CONFIG_OBJ))
+    tests_path = tmp_path / "tests.jsonl"
+    write_test_cases([TestCase(expected=0, init_gates=())], tests_path)  # any width
+    out = tmp_path / "pop.json"
+    assert main(["evolve", "--config", str(config_path), "--tests", str(tests_path),
+                 "--population", str(out), flag, value]) == 0
+    config = read_population(out).config
+    assert getattr(EvolutionConfig(), field) != expected
+    assert getattr(config, field) == expected
+
+
 @pytest.mark.parametrize("outputs", [
     ["--output", "cases", "--evolution-out", "evo", "--evaluation-out", "eva"],
     ["--output", "cases", "--evaluation-out", "eva"],
@@ -329,6 +365,8 @@ MALFORMED_FILES = [
     pytest.param("config", json.dumps({**SMALL_CONFIG_OBJ, "eval_mode": 5}),
                  id="config-eval-mode-5"),
     pytest.param("config", "[1, 2]", id="config-top-level-list"),
+    pytest.param("config", json.dumps({**SMALL_CONFIG_OBJ, "shots": 1000}),
+                 id="config-shots-key"),
     pytest.param("config", json.dumps({**SMALL_CONFIG_OBJ, "num_qubits": "four"}),
                  id="config-num-qubits-four"),
     pytest.param("config", json.dumps({**SMALL_CONFIG_OBJ, "generations": 1.5}),

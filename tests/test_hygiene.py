@@ -1,6 +1,7 @@
 """Static checks on the package source: every module-level import is used, every
-public module-level name is read somewhere, every name exported in
-``qcens.__all__`` resolves, and so does every name the benchmark tracer wraps."""
+public module-level name is read somewhere, every private one is read in the
+package, every name exported in ``qcens.__all__`` resolves, and so does every
+name the benchmark tracer wraps."""
 
 import ast
 import importlib
@@ -43,11 +44,11 @@ def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
-def unread_public_names(defining: dict, reading: dict) -> list[str]:
-    """``module: name`` for each public name that a module of ``defining`` binds at
-    module level (def, class or assignment) and that no file of ``reading`` reads
-    (a name, an attribute or an imported name) outside the name's own definition.
-    Both map a file name to its source."""
+def unread_names(defining: dict, reading: dict, private: bool = False) -> list[str]:
+    """``module: name`` for each public name (``_``-prefixed with ``private``) that
+    a module of ``defining`` binds at module level (def, class or assignment) and
+    that no file of ``reading`` reads (a name, an attribute or an imported name)
+    outside the name's own definition.  Both map a file name to its source."""
     reads = []  # (file, line, name)
     for file, source in reading.items():
         for node in ast.walk(ast.parse(source)):
@@ -68,7 +69,7 @@ def unread_public_names(defining: dict, reading: dict) -> list[str]:
             else:
                 continue
             own = range(node.lineno, node.end_lineno + 1)
-            unread += [f"{module}: {name}" for name in names if not name.startswith("_")
+            unread += [f"{module}: {name}" for name in names if name.startswith("_") == private
                        and not any(n == name and not (f == module and line in own)
                                    for f, line, n in reads)]
     return unread
@@ -80,14 +81,31 @@ def test_unread_name_check_finds_names_read_only_in_their_definition():
               "class Box:\n    def box(self):\n        return Box\n\n"
               "def called():\n    return math.pi\n")
     user = "from m import called\nimport m\n\nm.PAIRED\n"
-    assert unread_public_names({"m": module}, {"m": module, "user": user}) == [
+    assert unread_names({"m": module}, {"m": module, "user": user}) == [
         "m: UNUSED", "m: recurse", "m: Box"]
+
+
+def test_unread_name_check_covers_private_names():
+    module = ("_USED = 1\n_TESTED = 2\n\n@_decorate\ndef _recurse(n):\n"
+              "    return _recurse(n - 1) + _USED\n\ndef _decorate(f):\n    return f\n")
+    test = "from m import _TESTED, _recurse\n"
+    assert unread_names({"m": module}, {"m": module}, private=True) == [
+        "m: _TESTED", "m: _recurse"]
+    assert unread_names({"m": module}, {"m": module, "test": test}, private=True) == []
 
 
 def test_every_public_module_level_name_is_read():
     reading = {path.as_posix(): path.read_text() for path in READERS}
     defining = {path.as_posix(): path.read_text() for path in MODULES}
-    assert unread_public_names(defining, reading) == []
+    assert unread_names(defining, reading) == []
+
+
+def test_every_private_module_level_name_is_read_in_the_package():
+    """A table or helper left behind by a refactor fails here; reads in tests
+    and the benchmark do not count."""
+    package = {path.as_posix(): path.read_text() for path in PACKAGE.glob("*.py")}
+    defining = {path.as_posix(): path.read_text() for path in MODULES}
+    assert unread_names(defining, package, private=True) == []
 
 
 def test_every_exported_name_resolves():

@@ -51,6 +51,13 @@ def test_load_non_numeric_feature(tmp_path):
         load_dataset(path)
 
 
+def test_load_unknown_species(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("5.1,3.5,1.4,0.2,Iris-setosa\n4.9,3.0,1.4,0.2,Iris-rosa\n")
+    with pytest.raises(ParseError, match=":2: unknown species 'Iris-rosa'"):
+        load_dataset(path)
+
+
 def test_load_wrong_class_counts(tmp_path):
     rows = "\n".join("5.1,3.5,1.4,0.2,Iris-setosa" for _ in range(150))
     path = tmp_path / "lopsided.csv"
@@ -151,6 +158,14 @@ def test_split_refuses_labels_that_do_not_match_the_items():
     for labels in (["a"] * 9, ["a"] * 11):
         with pytest.raises(ValidationError, match="labels for 10 items"):
             split(range(10), 5, seed=0, labels=labels)
+
+
+def test_stratified_split_refuses_a_label_short_of_its_share():
+    # 'a' would need 30 of the 60 evolution items, but has 10
+    with pytest.raises(ValidationError, match="label 'a' has 10 items, fewer than its share 30"):
+        split(range(100), 60, 0, labels=["a"] * 10 + ["b"] * 90)
+    evolution, _ = split(range(100), 20, 0, labels=["a"] * 10 + ["b"] * 90)
+    assert sorted(i < 10 for i in evolution) == [False] * 10 + [True] * 10
 
 
 def test_split_refuses_negative_seed():

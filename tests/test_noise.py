@@ -194,6 +194,12 @@ def test_noise_config_round_trip(tmp_path):
     assert resolve_noise(str(path)) == model
 
 
+def test_noise_config_skips_comments_and_blank_lines():
+    text = ("# a custom model\n\nname = custom\n   # indented comment\np1 = 0.01\n\t\n"
+            "p2 = 0.02\nreadout_flip_0to1 = 0.03\nreadout_flip_1to0 = 0.04\n\n")
+    assert parse_noise_config(text) == NoiseModel(0.01, 0.02, 0.03, 0.04, name="custom")
+
+
 def test_noise_config_parse_errors():
     from qcens.errors import ParseError
 

@@ -107,6 +107,11 @@ def test_eval_mode_refuses_counts_that_would_not_write_back(mode):
         parse_eval_mode(mode)
 
 
+def test_config_key_shots_is_refused_naming_eval_mode():
+    with pytest.raises(ParseError, match="unknown config key 'shots'.*eval_mode"):
+        config_from_obj({"shots": 1000})
+
+
 def test_config_obj_stable():
     config = EvolutionConfig()
     assert config_from_obj(config_to_obj(config)) == config
@@ -163,6 +168,13 @@ def test_result_table_layout():
     assert len(lines) == 2  # header + one backend row
     numeric_cells = lines[1].split()[1:]
     assert len(numeric_cells) == 12  # 4 columns for each of the 3 sizes
+
+
+def test_result_table_marks_a_missing_backend_and_size_with_dashes():
+    rows = [ResultRow("ideal", 3, 0.8, 0.7, 0.01, 0.5), ResultRow("storm", 5, 0.6, 0.5, 0.2, 0.1)]
+    ideal, storm = [line.split() for line in result_table_text(rows).splitlines()[1:]]
+    assert ideal[0] == "ideal" and ideal[5:] == ["-"] * 4
+    assert storm[0] == "storm" and storm[1:5] == ["-"] * 4
 
 
 def test_result_table_refuses_two_rows_for_one_cell():

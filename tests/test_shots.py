@@ -10,6 +10,7 @@ import pytest
 import qcens.ensemble as ensemble
 from qcens import Circuit, CXGate, EvolutionConfig, UGate, evolve
 from qcens.ensemble import Ensemble, Evaluator, FitnessReport, TestCase, _vote_batch
+from qcens.errors import ValidationError
 from qcens.iris import bundled_dataset_path, encode_all, load_dataset, split
 from qcens.serialization import read_population, write_population
 from qcens.statevector import sample_shots
@@ -97,3 +98,12 @@ def test_fitness_report_holds_per_test_as_float64_array(tmp_path):
     restored = read_population(path)
     assert restored == population
     assert all(isinstance(r.per_test, array) for r in restored.fitnesses)
+
+
+def test_shot_counts_run_up_to_the_int64_bound_of_numpys_multinomial():
+    circuit = Circuit(4, (UGate(0, 1.0, 0.0, 0.0),), (0, 1))
+    report, = Evaluator(IRIS_TESTS[:3], shots=2**63 - 1).score([Ensemble((circuit,))])
+    assert 0.0 <= report.fitness <= 1.0
+    for shots in (0, 2**63):
+        with pytest.raises(ValidationError, match=r"shots must be in \[1, 2\*\*63 - 1\]"):
+            Evaluator(IRIS_TESTS, shots=shots)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qcens import Circuit, StructuralError, UGate, ValidationError
 from qcens.statevector import (
+    _apply_gate,
     apply_cx,
     apply_u,
     run_ideal,
@@ -20,6 +21,21 @@ from conftest import HADAMARD, X, bell_circuit, tv_distance
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+
+
+def fancy_index_gate_oracle(state, n, gate):
+    """The U kernel as an index gather: the amplitudes whose target bit is 0, and
+    their partners with the bit set, are copied out, combined and scattered back."""
+    idx = np.arange(1 << n)
+    i0 = idx[(idx >> gate.target) & 1 == 0]
+    i1 = i0 | (1 << gate.target)
+    mat = u_matrix(gate.theta, gate.phi, gate.lam)
+    out = np.empty_like(state)
+    a = state[..., i0]
+    b = state[..., i1]
+    out[..., i0] = mat[0, 0] * a + mat[0, 1] * b
+    out[..., i1] = mat[1, 0] * a + mat[1, 1] * b
+    return out
 
 
 def basis(num_qubits, index):
@@ -122,11 +138,31 @@ def test_norm_preserved_by_random_gate_sequences(seed):
     rng = np.random.default_rng(seed)
     circuit = random_test_circuit(rng, num_qubits=3)
     state = zero_state(3)
-    from qcens.statevector import apply_gate
-
     for gate in circuit.gates:
-        state = apply_gate(state, gate)
+        state = _apply_gate(state, 3, gate)
         assert abs(np.linalg.norm(state) - 1.0) < 1e-10
+
+
+@settings(deadline=None)
+@given(data=st.data(), n=st.integers(1, 7),
+       batch=st.sampled_from([(), (1,), (5,), (3, 2)]),
+       theta=angles, phi=angles, lam=angles)
+def test_u_kernel_is_bit_identical_to_the_index_gather(data, n, batch, theta, phi, lam):
+    gate = UGate(data.draw(st.integers(0, n - 1), label="target"), theta, phi, lam)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    shape = batch + (1 << n,)
+    state = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    assert np.array_equal(_apply_gate(state, n, gate), fancy_index_gate_oracle(state, n, gate))
+
+
+def test_one_gate_helpers_take_the_circuit_register_cap():
+    # apply_u and apply_cx run their gate as a one-gate Circuit, capped at 16 qubits
+    state = np.zeros(1 << 17, dtype=np.complex128)
+    state[0] = 1.0
+    with pytest.raises(ValidationError, match=r"num_qubits must be in \[1, 16\], got 17"):
+        apply_u(state, 0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValidationError, match="got 17"):
+        apply_cx(state, 0, 1)
 
 
 def test_gate_locality_on_product_state():
