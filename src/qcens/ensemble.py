@@ -197,7 +197,9 @@ class Evaluator:
     Otherwise each slot feeds ``shots``-sample empirical estimates of its
     circuit's law, cached per (circuit, slot): test t of slot m is sampled
     from the RNG stream derived from (seed, t, m), so results do not depend on
-    evaluation order.
+    evaluation order.  A (circuit, slot)'s T tests are one ``sample_shots``
+    block, normalized and scaled once, each test's stream restarted from its
+    start before its draw.
     """
 
     def __init__(self, tests, noise: NoiseModel | None = None,
@@ -282,15 +284,12 @@ class Evaluator:
                              per_test.tolist())
 
     def _degrade_to_shots(self, dists: np.ndarray, slot: int) -> np.ndarray:
-        """Shot estimates of per-test laws (T, k): test t is drawn from stream
-        (seed, t, slot), restarted from its start state, derived once per slot."""
+        """Shot estimates of per-test laws (T, k), one ``sample_shots`` block: test
+        t is drawn from stream (seed, t, slot), restarted from its start state,
+        derived once per slot."""
         streams = self._streams.get(slot)
         if streams is None:
             streams = self._streams[slot] = [
                 np.random.PCG64(np.random.SeedSequence((self.seed, t, slot))).state
                 for t in range(len(self.tests))]
-        out = np.empty_like(dists)
-        for t, start in enumerate(streams):
-            self._rng.bit_generator.state = start
-            out[t] = sample_shots(dists[t], self.shots, self._rng)
-        return out
+        return sample_shots(dists, self.shots, self._rng, streams)

@@ -123,10 +123,32 @@ def run_ideal(circuit: Circuit, init: np.ndarray | None = None) -> np.ndarray:
     return probs @ _value_map(circuit.num_qubits, circuit.measured_qubits)
 
 
-def sample_shots(dist: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Empirical distribution of ``shots`` independent draws from ``dist``."""
+def sample_shots(dists: np.ndarray, shots: int, rng: np.random.Generator,
+                 starts=None) -> np.ndarray:
+    """Empirical laws of ``shots`` independent draws from each law of ``dists``:
+    one law (k,) or a block (T, k), returned in the same shape.
+
+    The block is checked, normalized and scaled once.  Row t is one
+    ``rng.multinomial`` draw, from ``rng`` restarted at bit-generator state
+    ``starts[t]`` when ``starts`` is given, so a row's draw depends only on its
+    law and its start; without ``starts`` the rows draw from ``rng`` in turn.
+    A law with a negative or non-finite entry, or no mass, is refused.
+    """
     if shots < 1:
         raise ValidationError(f"shots must be >= 1, got {shots}")
-    dist = np.asarray(dist, dtype=np.float64)
-    counts = rng.multinomial(shots, dist / dist.sum())
-    return counts / float(shots)
+    dists = np.asarray(dists, dtype=np.float64)
+    valid = (dists >= 0).all()  # NaN compares False; checked before the sum can warn
+    if valid:
+        sums = dists.sum(axis=-1, keepdims=True)
+        valid = (np.isfinite(sums) & (sums > 0)).all()
+    if not valid:
+        raise ValidationError(
+            "a law to sample needs finite, non-negative entries and a positive sum")
+    pvals = np.atleast_2d(dists / sums)
+    counts = np.empty(pvals.shape, dtype=np.int64)
+    bit_generator = rng.bit_generator
+    for t, law in enumerate(pvals):
+        if starts is not None:
+            bit_generator.state = starts[t]
+        counts[t] = rng.multinomial(shots, law)
+    return (counts / float(shots)).reshape(dists.shape)

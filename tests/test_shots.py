@@ -48,11 +48,13 @@ def test_shot_fitness_matches_the_per_pair_seed_sequence_oracle(n, shots):
 
 
 def count_draws(monkeypatch) -> list:
+    """Patches ``sample_shots`` to record ``shots`` once per law drawn: a block
+    call adds one entry per row."""
     draws = []
 
-    def counting_sample_shots(dist, shots, rng):
-        draws.append(shots)
-        return sample_shots(dist, shots, rng)
+    def counting_sample_shots(dists, shots, rng, starts=None):
+        draws.extend([shots] * len(dists))
+        return sample_shots(dists, shots, rng, starts)
 
     monkeypatch.setattr(ensemble, "sample_shots", counting_sample_shots)
     return draws

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -200,6 +201,49 @@ def test_sample_shots_concentration(rng):
 def test_sample_shots_rejects_zero_shots(rng):
     with pytest.raises(ValidationError):
         sample_shots(np.array([1.0]), 0, rng)
+
+
+masses = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+# A row repeats masses from a small pool, as circuit laws do.  With two equal
+# entries last, numpy's multinomial ends on a binomial at p near 0.5, and it
+# draws p > 0.5 as n minus a draw at 1 - p: an ulp of the normalized law then
+# flips the draw, so such rows pin the bits of the normalization.
+laws = st.integers(1, 8).flatmap(lambda k: st.lists(
+    st.lists(masses, min_size=1, max_size=3).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), min_size=k, max_size=k))
+    .filter(lambda row: sum(row) > 0), min_size=1, max_size=6))
+
+
+@settings(deadline=None)
+@given(block=laws, shots=st.integers(1, 10**6), seed=st.integers(0, 2**32 - 1))
+def test_a_block_draws_each_row_as_a_single_law_from_its_start(block, shots, seed):
+    """Unnormalized rows with zero entries: the block draws, bit for bit, what one
+    single-law call per row draws from ``rng`` restored at that row's start, and
+    a single law draws what ``multinomial(shots, d / d.sum()) / shots`` draws."""
+    block = np.array(block)
+    starts = [np.random.PCG64(np.random.SeedSequence((seed, t))).state
+              for t in range(len(block))]
+    got = sample_shots(block, shots, np.random.default_rng(0), starts)
+    rng = np.random.default_rng(0)
+    for law, start, row in zip(block, starts, got):
+        rng.bit_generator.state = start
+        single = sample_shots(law, shots, rng)
+        rng.bit_generator.state = start
+        formula = rng.multinomial(shots, law / law.sum()) / shots
+        assert row.tobytes() == single.tobytes() == formula.tobytes()
+
+
+@pytest.mark.parametrize("law", [[0.0, 0.0], [0.5, -0.1, 0.6], [math.nan, 1.0],
+                                 [math.inf, 1.0]], ids=["zero-sum", "negative", "nan", "inf"])
+@pytest.mark.parametrize("as_block", [False, True], ids=["law", "block"])
+def test_sample_shots_refuses_a_law_it_cannot_normalize(law, as_block, rng):
+    dists = np.array(law)
+    if as_block:
+        dists = np.stack([np.full(len(law), 1.0), dists])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no divide or invalid-value warning first
+        with pytest.raises(ValidationError, match="finite, non-negative entries"):
+            sample_shots(dists, 100, rng)
 
 
 def test_run_ideal_distribution_validity(rng):
