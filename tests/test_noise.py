@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcens import Circuit, NoiseModel, UGate, ValidationError, ZERO_NOISE
+import forward_noise_oracle
+from qcens import CXGate, Circuit, NoiseModel, UGate, ValidationError, ZERO_NOISE
 from qcens.ensemble import Ensemble, Evaluator, TestCase
 from qcens.noise import _depolarize_in_place, _readout_matrix, run_noisy
 from qcens.noisefiles import (
@@ -33,10 +35,10 @@ def density(state):
 
 
 def depolarized(rho, qubits, p):
-    """The depolarizing channel on a copy of rho."""
-    out = np.array(rho, dtype=np.complex128)
-    _depolarize_in_place(out, out.shape[-1].bit_length() - 1, qubits, p)
-    return out
+    """The depolarizing channel on a copy of rho, as a (2**n, 2**n, 1) stack."""
+    out = np.array(rho, dtype=np.complex128)[..., None]
+    _depolarize_in_place(out, out.shape[0].bit_length() - 1, qubits, p, np.empty_like(out))
+    return out[..., 0]
 
 
 def test_depolarize_p1_fully_mixes_a_qubit():
@@ -122,6 +124,56 @@ def test_run_noisy_matches_kraus_oracle(seed, n):
     np.testing.assert_allclose(run_noisy(circuit, init, readout_only),
                                kraus_run_noisy_oracle(circuit, init, readout_only),
                                rtol=0, atol=1e-12)
+
+
+NOISE_MODELS = st.deferred(
+    lambda: st.sampled_from([load_preset(name) for name in preset_names()] + [ZERO_NOISE]))
+RATES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@settings(deadline=None, max_examples=80)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+       batch=st.sampled_from([None, (), (0,), "T", (2, 3)]),
+       layout=st.sampled_from(["C", "F", "reversed", "real"]),
+       noise=NOISE_MODELS | st.builds(NoiseModel, RATES, RATES, RATES, RATES))
+def test_run_noisy_matches_forward_oracle_bit_for_bit(seed, n, batch, layout, noise):
+    rng = np.random.default_rng(seed)
+    circuit = random_test_circuit(rng, num_qubits=n)
+    init = None
+    if batch is not None:
+        shape = (int(rng.integers(1, 9)),) if batch == "T" else batch
+        init = rng.normal(size=shape + (1 << n,))
+        if layout != "real":
+            init = init + 1j * rng.normal(size=init.shape)
+        init /= np.linalg.norm(init, axis=-1, keepdims=True)
+        init = {"F": np.asfortranarray, "reversed": lambda a: a[::-1]}.get(layout, np.asarray)(init)
+    got = run_noisy(circuit, init, noise)
+    # the oracle's last bits depend on the memory layout of init (its stack follows it), so it
+    # sees a C-contiguous copy; run_noisy's do not
+    want = forward_noise_oracle.run_noisy(
+        circuit, None if init is None else np.ascontiguousarray(init), noise)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+    if init is not None:
+        assert got.tobytes() == run_noisy(circuit, np.ascontiguousarray(init), noise).tobytes()
+
+
+def test_run_noisy_peak_memory_stays_below_the_forward_loop():
+    # a full-size temporary per gate would make the allocator return and re-fault memory
+    rng = np.random.default_rng(16)
+    circuit = Circuit(4, (UGate(1, 0.3, 0.2, 0.1), CXGate(0, 2), UGate(3, 1.1, 2.2, 0.4),
+                          CXGate(3, 1), UGate(0, 2.0, 0.5, 1.5)), (0, 1))
+    init = rng.normal(size=(100, 16)) + 1j * rng.normal(size=(100, 16))
+    init /= np.linalg.norm(init, axis=1, keepdims=True)
+    storm = load_preset("storm")
+    run_noisy(circuit, init, storm)  # fill the caches first
+    tracemalloc.start()
+    try:
+        run_noisy(circuit, init, storm)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.51 * (16 * 16 * 100 * 16)  # the batch-first loop's peak, in stacks of rho
 
 
 def test_run_noisy_zero_noise_matches_ideal(rng):
