@@ -3,21 +3,20 @@
 A NoiseModel applies a depolarizing channel after every gate (strength p1 for
 single-qubit U gates, p2 on both qubits touched by a CX) and classical readout
 bit-flips to the final measured distribution.  Simulation evolves a density
-matrix, so results are exact and deterministic.  ``run_noisy`` holds its B states
-(the flattened test batch) as one C-contiguous (2**n, 2**n, B) stack.
+matrix, so results are exact and deterministic.  ``run_noisy`` updates its B states
+(the flattened test batch) in place: one (2**n, 2**n, B) stack, and one scratch buffer.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
-from functools import reduce
 
 import numpy as np
 
 from .circuits import Circuit, UGate
 from .errors import ValidationError
-from .statevector import _cx_permutation, _initial_state, _value_map, u_matrix
+from .statevector import _cx_permutation, _initial_state, _output_map, u_matrix
 
 MAX_DENSITY_QUBITS = 10
 
@@ -62,33 +61,24 @@ def _depolarize_in_place(rho: np.ndarray, n: int, qubits: tuple[int, ...], p: fl
 
 
 def _apply_u_rho(rho: np.ndarray, spare: np.ndarray, n: int, target: int, mat: np.ndarray,
-                 p: float) -> tuple[np.ndarray, np.ndarray]:
-    """U rho U^dagger of a (2**n, 2**n, B) stack, depolarized on the target with strength p;
-    returns (result, scratch), which are ``rho`` and ``spare`` in some order. Each pass mixes
-    the contiguous halves of a copy with its axis in front: numpy buffers strided half-views."""
+                 p: float) -> None:
+    """rho <- U rho U^dagger in place on a (2**n, 2**n, B) stack, depolarized on the target with
+    strength p; ``spare`` is scratch. The stack is copied with the target's row and column axes in
+    front, so each pass mixes contiguous halves: numpy buffers strided half-views."""
     hi, lo, b = 1 << (n - 1 - target), 1 << target, rho.shape[-1]
-    shape = split = (hi, 2, lo, hi, 2, lo, b)  # row: high, target, low bits; column; batch
-    # U mixes the row's target bit, then conj(U) the column's; rho names the current stack
-    for perm, m in (((1, 0, 2, 3, 4, 5, 6), mat), ((4, 0, 1, 2, 3, 5, 6), np.conj(mat))):
-        np.copyto(spare.reshape([shape[a] for a in perm]), rho.reshape(shape).transpose(perm))
-        shape = [shape[a] for a in perm]
-        pair, scratch = spare.reshape(2, -1), rho.reshape(2, -1)
-        np.multiply(pair[0], m[1, 0], out=scratch[0])
-        np.multiply(pair[1], m[0, 1], out=scratch[1])
+    front = spare.reshape(2, 2, hi, lo, hi, lo, b)  # row target, column target, the rest
+    np.copyto(front, rho.reshape(hi, 2, lo, hi, 2, lo, b).transpose(1, 4, 0, 2, 3, 5, 6))
+    x, tmp = spare.reshape(2, 2, -1), rho.reshape(2, 2, -1)
+    # U mixes the row's target bit, then conj(U) the column's
+    for pair, m in ((x, mat), (x.swapaxes(0, 1), np.conj(mat))):
+        np.multiply(pair[0], m[1, 0], out=tmp[0])
+        np.multiply(pair[1], m[0, 1], out=tmp[1])
         for i in (0, 1):  # each product keeps its operand order; a sum of two commutes bitwise
             pair[i] *= m[i, i]
-            pair[i] += scratch[1 - i]
-        rho, spare = spare, rho
-    if p:  # the axes are (column target, row target, ...): a one-qubit stack with a long batch
-        _depolarize_in_place(rho.reshape(2, 2, -1), 1, (0,), p, spare)
-    np.copyto(spare.reshape(split), rho.reshape(shape).transpose(2, 1, 3, 4, 0, 5, 6))
-    return spare, rho
-
-
-def _readout_matrix(m: int, flip_0to1: float, flip_1to0: float) -> np.ndarray:
-    """(k, k) law of independent flips on m bits; column j is the output law for input j."""
-    bit = np.array([[1.0 - flip_0to1, flip_1to0], [flip_0to1, 1.0 - flip_1to0]])
-    return reduce(np.kron, [bit] * m, np.eye(1))
+            pair[i] += tmp[1 - i]
+    if p:  # a one-qubit stack with a long batch
+        _depolarize_in_place(x, 1, (0,), p, rho)
+    np.copyto(rho.reshape(hi, 2, lo, hi, 2, lo, b), front.transpose(2, 0, 3, 4, 1, 5, 6))
 
 
 def run_noisy(circuit: Circuit, init: np.ndarray | None = None,
@@ -109,7 +99,7 @@ def run_noisy(circuit: Circuit, init: np.ndarray | None = None,
     for gate in circuit.gates:  # validated with the circuit, so unchecked here
         if isinstance(gate, UGate):
             mat = u_matrix(gate.theta, gate.phi, gate.lam)
-            rho, spare = _apply_u_rho(rho, spare, n, gate.target, mat, noise.p1)
+            _apply_u_rho(rho, spare, n, gate.target, mat, noise.p1)
         else:  # perm is a permutation, so "clip" never clips; it avoids a buffered copy
             perm = _cx_permutation(n, gate.control, gate.target)
             np.take(rho, perm, axis=0, out=spare, mode="clip")
@@ -119,7 +109,5 @@ def run_noisy(circuit: Circuit, init: np.ndarray | None = None,
     # matmul rounds by operand strides, so the diagonal sits as in a (..., 2**n, 2**n) stack
     diag = np.einsum("...ii->...i", spare.reshape(init.shape[:-1] + rho.shape[:2]))
     diag[...] = np.einsum("iit->ti", rho).reshape(diag.shape)
-    readout = _readout_matrix(circuit.num_output_bits,
-                              noise.readout_flip_0to1, noise.readout_flip_1to0)
-    # one (2**n, k) map: basis state -> measured value -> read-out value
-    return np.real(diag) @ (_value_map(n, circuit.measured_qubits) @ readout.T)
+    return np.real(diag) @ _output_map(n, circuit.measured_qubits,
+                                       noise.readout_flip_0to1, noise.readout_flip_1to0)

@@ -10,7 +10,7 @@ bit-ordering convention).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -104,13 +104,18 @@ def evolve_state(circuit: Circuit, init: np.ndarray | None) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _value_map(num_qubits: int, measured_qubits: tuple[int, ...]) -> np.ndarray:
-    """(2**n, k) 0/1 matrix: row i has its 1 in the value that basis state i reads."""
+def _output_map(num_qubits: int, measured_qubits: tuple[int, ...], flip_0to1: float = 0.0,
+                flip_1to0: float = 0.0) -> np.ndarray:
+    """(2**n, k) read-out law: row i is the law of the value basis state i reads when each
+    measured bit flips independently (0/1 without flips). Read-only: every caller shares it."""
     idx = np.arange(1 << num_qubits)
     values = np.zeros_like(idx)
     for pos, q in enumerate(measured_qubits):
         values |= ((idx >> q) & 1) << pos
-    return (values[:, None] == np.arange(1 << len(measured_qubits))).astype(np.float64)
+    bit = np.array([[1.0 - flip_0to1, flip_0to1], [flip_1to0, 1.0 - flip_1to0]])  # row: the bit
+    out = reduce(np.kron, [bit] * len(measured_qubits), np.eye(1))[values]
+    out.setflags(write=False)
+    return out
 
 
 def run_ideal(circuit: Circuit, init: np.ndarray | None = None) -> np.ndarray:
@@ -120,7 +125,7 @@ def run_ideal(circuit: Circuit, init: np.ndarray | None = None) -> np.ndarray:
     per row) yields a batch of distributions.
     """
     probs = np.abs(evolve_state(circuit, init)) ** 2
-    return probs @ _value_map(circuit.num_qubits, circuit.measured_qubits)
+    return probs @ _output_map(circuit.num_qubits, circuit.measured_qubits)
 
 
 def sample_shots(dists: np.ndarray, shots: int, rng: np.random.Generator,

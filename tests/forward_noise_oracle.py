@@ -1,20 +1,39 @@
 """The forward density-matrix loop of ``qcens.noise.run_noisy`` as it was before the
 test batch moved to the last axis: a (..., 2**n, 2**n) stack with the batch in front.
 
-``qcens.noise.run_noisy`` must give these outputs bit for bit. The three functions are
-kept as they were; only the imports are new.
+``qcens.noise.run_noisy`` must give these outputs bit for bit. The functions are kept as
+they were; only the imports are new. ``_value_map`` and ``_readout_matrix`` are the read-out
+helpers the program had before ``statevector._output_map`` replaced them, so the oracle
+shares no read-out code with what it checks.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from qcens.circuits import Circuit, UGate
 from qcens.errors import ValidationError
-from qcens.noise import MAX_DENSITY_QUBITS, ZERO_NOISE, NoiseModel, _readout_matrix
-from qcens.statevector import _cx_permutation, _initial_state, _value_map, u_matrix
+from qcens.noise import MAX_DENSITY_QUBITS, ZERO_NOISE, NoiseModel
+from qcens.statevector import _cx_permutation, _initial_state, u_matrix
+
+
+@lru_cache(maxsize=None)
+def _value_map(num_qubits: int, measured_qubits: tuple[int, ...]) -> np.ndarray:
+    """(2**n, k) 0/1 matrix: row i has its 1 in the value that basis state i reads."""
+    idx = np.arange(1 << num_qubits)
+    values = np.zeros_like(idx)
+    for pos, q in enumerate(measured_qubits):
+        values |= ((idx >> q) & 1) << pos
+    return (values[:, None] == np.arange(1 << len(measured_qubits))).astype(np.float64)
+
+
+def _readout_matrix(m: int, flip_0to1: float, flip_1to0: float) -> np.ndarray:
+    """(k, k) law of independent flips on m bits; column j is the output law for input j."""
+    bit = np.array([[1.0 - flip_0to1, flip_1to0], [flip_0to1, 1.0 - flip_1to0]])
+    return reduce(np.kron, [bit] * m, np.eye(1))
 
 
 def _apply_u_rho(rho: np.ndarray, n: int, target: int, mat: np.ndarray,

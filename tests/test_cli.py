@@ -67,6 +67,17 @@ def test_evolve_missing_test_file_exits_2(trivial_setup, tmp_path, capsys):
         assert "error" in capsys.readouterr().err
 
 
+def test_evolve_refuses_a_negative_expected_value(trivial_setup, tmp_path, capsys):
+    config_path, tests_path = trivial_setup
+    tests_path.write_text('{"expected": -1, "features": [0.0, 0.0, 0.0, 0.0]}\n')
+    out = tmp_path / "pop.json"
+    assert main(["evolve", "--config", str(config_path), "--tests", str(tests_path),
+                 "--population", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {tests_path}:1: expected output must be >= 0, got -1\n")
+    assert not out.exists()
+
+
 def test_evolve_same_seed_byte_identical(trivial_setup, tmp_path):
     config_path, tests_path = trivial_setup
     outs = [tmp_path / "a.json", tmp_path / "b.json"]
@@ -122,6 +133,19 @@ def test_evaluate_unknown_noise_name_lists_presets(tmp_path, capsys):
                  "--noise", "bogus"])
     assert code == 2
     assert "feather" in capsys.readouterr().err
+
+
+def test_evaluate_refuses_a_population_of_two_register_widths(tmp_path, capsys):
+    wide, narrow = (Ensemble((Circuit(n, (UGate(0, 0.0, 0.0, 0.0),), (0, 1)),)) for n in (4, 3))
+    population = Population((wide, narrow), (FitnessReport(1.0, (1.0,)),) * 2, 0)
+    pop_path = tmp_path / "mixed.json"
+    write_population(population, pop_path)
+    tests_path = tmp_path / "tests.jsonl"
+    write_test_cases([TestCase(expected=0, features=(0.0,) * 4)], tests_path)
+    assert main(["evaluate", "--population", str(pop_path), "--tests", str(tests_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: test cases were prepared for a different register width\n"
+    assert captured.out == ""
 
 
 def test_compare_identical_populations(tmp_path, capsys):
@@ -344,6 +368,14 @@ SMALL_CONFIG_OBJ = config_to_obj(EvolutionConfig(population_size=4, generations=
                                                  tournament_size=2))
 GOOD_ROWS = "backend,n,median_het,median_hom,p_value,effect_r\nideal,3,0.8,0.7,0.001,0.9\n"
 GOOD_NOISE = "p1 = 0\np2 = 0\nreadout_flip_0to1 = 0\nreadout_flip_1to0 = 0\n"
+DATASET_LINES = bundled_dataset_path().read_text().split("\n")
+
+
+def edited_dataset(feature: str) -> str:
+    """The bundled dataset with the second feature of its third line replaced."""
+    cells = DATASET_LINES[2].split(",")
+    cells[1] = feature
+    return "\n".join(DATASET_LINES[:2] + [",".join(cells)] + DATASET_LINES[3:])
 
 
 def edited_population(edit) -> str:
@@ -395,6 +427,8 @@ MALFORMED_FILES = [
     pytest.param("tests", b"\xff\n", id="tests-non-utf8"),
     pytest.param("rows", GOOD_ROWS.encode() + b"\xff\n", id="rows-non-utf8"),
     pytest.param("dataset", b"5.1,3.5,1.4,0.2,Iris-setosa\n\xff\n", id="dataset-non-utf8"),
+    *(pytest.param("dataset", edited_dataset(value), id=f"dataset-feature-{value}")
+      for value in ("0", "-1.5", "inf")),
     pytest.param("noise", GOOD_NOISE + "q = 1\n", id="noise-unknown-key"),
 ]
 

@@ -17,8 +17,8 @@ from qcens import (
     random_circuit,
 )
 import qcens.ensemble as ensemble
-from qcens.ensemble import Ensemble, Evaluator, TestCase
-from qcens.evolution import random_ensemble
+from qcens.ensemble import Ensemble, Evaluator, FitnessReport, TestCase
+from qcens.evolution import Population, random_ensemble
 from qcens.iris import bundled_dataset_path, encode_all, load_dataset, split
 from qcens.noisefiles import load_preset
 from qcens.serialization import population_to_obj
@@ -57,6 +57,15 @@ def test_config_validation():
     for sigma in (math.inf, math.nan):
         with pytest.raises(ValidationError, match="angle_sigma must be finite"):
             small_config(angle_sigma=sigma)
+    for field in ("ensemble_size", "gate_cap", "shots"):
+        with pytest.raises(ValidationError, match=f"{field} must be >= 1"):
+            small_config(**{field: 0})
+
+
+def test_population_refuses_unequal_lengths():
+    individual = random_ensemble(small_config(), np.random.default_rng(0))
+    with pytest.raises(StructuralError, match="equal length"):
+        Population((individual, individual), (FitnessReport(1.0, (1.0,)),), 0)
 
 
 def test_random_circuit_forced_length():
@@ -142,6 +151,17 @@ def test_crossover_size_mismatch():
     a = random_ensemble(config, rng)
     b = random_ensemble(small_config(ensemble_size=2), rng)
     with pytest.raises(StructuralError):
+        crossover(a, b, config, rng)
+
+
+@pytest.mark.parametrize("register", [dict(num_qubits=3), dict(measured_qubits=(1, 0))],
+                         ids=["width", "measured-order"])
+def test_crossover_refuses_ensembles_on_different_registers(register):
+    config = small_config()
+    rng = np.random.default_rng(0)
+    a = random_ensemble(config, rng)
+    b = random_ensemble(small_config(**register), rng)
+    with pytest.raises(StructuralError, match="different register dimensions"):
         crossover(a, b, config, rng)
 
 

@@ -32,6 +32,12 @@ def test_plan_requires_size_one_for_baselines(tmp_path):
     small_plan(tmp_path, ensemble_sizes=(1,))  # size 1 alone is fine
 
 
+@pytest.mark.parametrize("sizes", [(0,), (), (1, -3)])
+def test_plan_refuses_sizes_below_one(tmp_path, sizes):
+    with pytest.raises(ValidationError, match="ensemble_sizes must be non-empty, all >= 1"):
+        small_plan(tmp_path, ensemble_sizes=sizes)
+
+
 def test_negative_plan_seed_is_refused_before_anything_is_written(tmp_path):
     with pytest.raises(ValidationError, match="seed must be >= 0"):
         run_experiment(small_plan(tmp_path, seed=-1))

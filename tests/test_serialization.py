@@ -155,11 +155,18 @@ def test_result_rows_csv_round_trip():
     assert result_rows_from_csv(text) == SAMPLE_ROWS
 
 
+def test_result_rows_skip_blank_lines_between_rows():
+    header, *rows = result_rows_to_csv(SAMPLE_ROWS).splitlines(keepends=True)
+    assert result_rows_from_csv(header + rows[0] + "\n" + "".join(rows[1:]) + "\n") == SAMPLE_ROWS
+
+
 def test_result_rows_reject_empty():
     with pytest.raises(ValidationError):
         result_rows_to_csv([])
     with pytest.raises(ValidationError):
         result_table_text([])
+    with pytest.raises(ParseError, match="result file has no rows"):
+        result_rows_from_csv(",".join(RESULT_FIELDS) + "\n\n\n")
 
 
 def test_result_table_layout():
