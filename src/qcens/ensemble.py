@@ -155,10 +155,15 @@ def _vote_batch(member_dists: np.ndarray) -> np.ndarray:
     prob[:-1] = dists[0]
     for dist, pred in zip(dists[1:], steps):
         terms = prob[pred]  # (k, states, batch)
+        # each array is freed once read, so no two steps' gathers are alive at once:
+        # otherwise glibc grows its heap past the trim threshold, then trims it and
+        # re-faults the pages on every vote
+        del prob
         terms *= dist[:, None, :]
         prob = np.empty((pred.shape[1] + 1, batch))
         prob[-1] = 0.0
         np.add.reduce(terms, axis=0, out=prob[:-1])  # adds term v after terms 0..v-1
+        del terms
     # (batch, states) @ (states, k) on a C-contiguous copy: the product on the
     # transposed view sums in another order, and its last bits differ
     return prob[:-1].T.copy() @ split

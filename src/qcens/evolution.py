@@ -72,6 +72,16 @@ class Population:
     def __post_init__(self) -> None:
         if len(self.individuals) != len(self.fitnesses):
             raise StructuralError("individuals and fitnesses must have equal length")
+        registers = [register_text(e) for e in self.individuals]
+        for index, register in enumerate(registers):
+            if register != registers[0]:
+                raise StructuralError(f"ensemble {index} has {register}, "
+                                      f"but ensemble 0 has {registers[0]}")
+
+
+def register_text(ensemble: Ensemble) -> str:
+    """An ensemble's register, as errors name it: '4 qubits measured on (0, 1)'."""
+    return f"{ensemble.num_qubits} qubits measured on {ensemble.measured_qubits}"
 
 
 def _random_gate(config: EvolutionConfig, rng: np.random.Generator) -> Gate:

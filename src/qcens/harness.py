@@ -15,8 +15,8 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .ensemble import Evaluator, replicate_homogeneous
-from .errors import ValidationError
-from .evolution import EvolutionConfig, Population, evolve
+from .errors import StructuralError, ValidationError
+from .evolution import EvolutionConfig, Population, evolve, register_text
 from .iris import bundled_dataset_path, encode_all, load_dataset, split
 from .noise import NoiseModel
 from .noisefiles import load_preset
@@ -59,6 +59,11 @@ def compare_populations(het: Population, hom_base: Population, n: int, tests,
         raise ValidationError(f"heterogeneous population has sizes {het_sizes}, expected {{{n}}}")
     if {len(e) for e in hom_base.individuals} != {1}:
         raise ValidationError("homogeneous base population must have ensemble size 1")
+    # each population shares one register (Population checks it), so the first ensembles tell
+    het_register, hom_register = (register_text(p.individuals[0]) for p in (het, hom_base))
+    if het_register != hom_register:
+        raise StructuralError(f"heterogeneous population has {het_register}, "
+                              f"but homogeneous base population has {hom_register}")
     hom = [replicate_homogeneous(e.circuits[0], n) for e in hom_base.individuals]
     fits = [r.fitness for r in Evaluator(tests, noise=noise).score([*het.individuals, *hom])]
     het_fits, hom_fits = fits[:len(het.individuals)], fits[len(het.individuals):]

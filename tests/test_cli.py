@@ -33,9 +33,11 @@ def trivial_setup(tmp_path):
     return config_path, tests_path
 
 
+NOOP_CIRCUIT = Circuit(4, (UGate(2, 0.0, 0.0, 0.0),), (0, 1))
+
+
 def noop_population(tmp_path, n_members=1, count=3):
-    noop = Circuit(4, (UGate(2, 0.0, 0.0, 0.0),), (0, 1))
-    individuals = tuple(Ensemble((noop,) * n_members) for _ in range(count))
+    individuals = tuple(Ensemble((NOOP_CIRCUIT,) * n_members) for _ in range(count))
     fitnesses = tuple(FitnessReport(1.0, (1.0,)) for _ in range(count))
     population = Population(individuals, fitnesses, 0)
     path = tmp_path / f"noop_n{n_members}.json"
@@ -136,16 +138,39 @@ def test_evaluate_unknown_noise_name_lists_presets(tmp_path, capsys):
 
 
 def test_evaluate_refuses_a_population_of_two_register_widths(tmp_path, capsys):
-    wide, narrow = (Ensemble((Circuit(n, (UGate(0, 0.0, 0.0, 0.0),), (0, 1)),)) for n in (4, 3))
-    population = Population((wide, narrow), (FitnessReport(1.0, (1.0,)),) * 2, 0)
+    # Population refuses mixed registers, so the file is written by hand: three 4-qubit
+    # ensembles, the second narrowed to 3 qubits and the third measuring other qubits
+    obj = population_to_obj(Population((Ensemble((NOOP_CIRCUIT,)),) * 3,
+                                       (FitnessReport(1.0, (1.0,)),) * 3, 0))
+    obj["ensembles"][1][0]["num_qubits"] = 3
+    obj["ensembles"][2][0]["measured_qubits"] = [1, 0]
     pop_path = tmp_path / "mixed.json"
-    write_population(population, pop_path)
+    pop_path.write_text(json.dumps(obj))
     tests_path = tmp_path / "tests.jsonl"
     write_test_cases([TestCase(expected=0, features=(0.0,) * 4)], tests_path)
     assert main(["evaluate", "--population", str(pop_path), "--tests", str(tests_path)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: test cases were prepared for a different register width\n"
+    assert captured.err == (f"error: {pop_path}: ensemble 1 has 3 qubits measured on (0, 1), "
+                            "but ensemble 0 has 4 qubits measured on (0, 1)\n")
     assert captured.out == ""
+
+
+def test_compare_refuses_populations_of_two_register_widths(tmp_path, capsys):
+    het = noop_population(tmp_path, n_members=3)
+    narrow = Ensemble((Circuit(3, (UGate(2, 0.0, 0.0, 0.0),), (0, 1)),))
+    hom = tmp_path / "narrow.json"
+    write_population(Population((narrow,) * 3, (FitnessReport(1.0, (1.0,)),) * 3, 0), hom)
+    tests_path = tmp_path / "tests.jsonl"
+    write_test_cases([TestCase(expected=0, features=(0.0,) * 4)], tests_path)
+    rows_path = tmp_path / "rows.csv"
+    assert main(["compare", "--het-population", str(het), "--hom-population", str(hom),
+                 "--ensemble-size", "3", "--tests", str(tests_path),
+                 "--append-to", str(rows_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: heterogeneous population has 4 qubits measured on (0, 1), "
+                            "but homogeneous base population has 3 qubits measured on (0, 1)\n")
+    assert captured.out == ""
+    assert not rows_path.exists()
 
 
 def test_compare_identical_populations(tmp_path, capsys):
@@ -362,7 +387,7 @@ def test_encode_dataset_requires_output(capsys):
 
 
 NOOP_POPULATION_OBJ = population_to_obj(Population(
-    (Ensemble((Circuit(4, (UGate(2, 0.0, 0.0, 0.0),), (0, 1)),)),),
+    (Ensemble((NOOP_CIRCUIT,)),),
     (FitnessReport(1.0, (1.0,)),), 0))
 SMALL_CONFIG_OBJ = config_to_obj(EvolutionConfig(population_size=4, generations=1,
                                                  tournament_size=2))

@@ -68,6 +68,18 @@ def test_population_refuses_unequal_lengths():
         Population((individual, individual), (FitnessReport(1.0, (1.0,)),), 0)
 
 
+@pytest.mark.parametrize("num_qubits, measured, error", [
+    (3, (0, 1), r"^ensemble 2 has 3 qubits measured on \(0, 1\), but ensemble 0 has 2 "),
+    (2, (1, 0), r"^ensemble 2 has 2 qubits measured on \(1, 0\), but ensemble 0 has 2 "),
+])
+def test_population_refuses_a_second_register(num_qubits, measured, error):
+    rng = np.random.default_rng(0)
+    same = random_ensemble(small_config(), rng)
+    other = random_ensemble(small_config(num_qubits=num_qubits, measured_qubits=measured), rng)
+    with pytest.raises(StructuralError, match=error):
+        Population((same, same, other), (FitnessReport(1.0, (1.0,)),) * 3, 0)
+
+
 def test_random_circuit_forced_length():
     config = small_config(gate_cap=1)
     circuit = random_circuit(config, np.random.default_rng(0))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import forward_noise_oracle
 from qcens import CXGate, Circuit, NoiseModel, UGate, ValidationError, ZERO_NOISE
-from qcens.ensemble import Ensemble, Evaluator, TestCase
+from qcens.ensemble import Ensemble, Evaluator, TestCase, _vote_batch
 from qcens.noise import _depolarize_in_place, run_noisy
 from qcens.noisefiles import (
     load_noise_file,
@@ -176,6 +176,25 @@ def test_run_noisy_peak_memory_stays_below_the_forward_loop():
     # in stacks of rho: the stack, its scratch and small temporaries (2.13 when measured); a
     # buffered full-size copy, such as a CX take in mode="raise" makes, reaches 3
     assert peak <= 2.5 * (16 * 16 * 100 * 16)
+
+
+def test_vote_peak_memory_holds_one_gather_at_a_time():
+    # two steps' gathers alive at once make the allocator trim and re-fault its heap each vote
+    n, k, batch = 7, 4, 100
+    dists = np.random.default_rng(18).random((n, batch, k))
+    dists /= dists.sum(axis=2, keepdims=True)
+    _vote_batch(dists)  # fill the count-table cache first
+    tracemalloc.start()
+    try:
+        _vote_batch(dists)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # in last-step gathers, (k, C(n+k-1, k-1), batch) floats: one gather, the probability
+    # vectors and the inputs reach 1.31 (when measured); the previous step's gather, 0.7 of
+    # the last, kept alive while the last is made, brings that above 1.9
+    last_gather = k * math.comb(n + k - 1, k - 1) * batch * 8
+    assert peak <= 1.5 * last_gather
 
 
 def test_run_noisy_zero_noise_matches_ideal(rng):
