@@ -25,7 +25,7 @@ import numpy as np
 from .circuits import Circuit, UGate
 from .errors import StructuralError, ValidationError
 from .noise import NoiseModel, run_noisy
-from .statevector import evolve_state, run_ideal, sample_shots
+from .statevector import check_shots, evolve_state, run_ideal, sample_shots
 
 # Ensemble fitness is reported rounded to this many decimals.  Fitnesses that
 # are equal in exact arithmetic but differ in their last bits, by the summation
@@ -192,7 +192,8 @@ def replicate_homogeneous(circuit: Circuit, n: int) -> Ensemble:
 class Evaluator:
     """Evaluates ensemble fitness against a fixed test set.
 
-    ``score`` scores a list of ensembles, and one call is one generation.
+    ``score`` scores a list of ensembles, and one call is one generation.  A
+    repeated ensemble is voted again, on cached values, and gets an equal report.
     Precomputes initialization states once and caches what each member slot
     feeds the vote for two ``score`` calls: the values looked up in this call
     and those of the call before.  A circuit that appears in many ensembles
@@ -212,8 +213,8 @@ class Evaluator:
         self.tests = list(tests)
         if not self.tests:
             raise ValidationError("test list must be non-empty")
-        if shots is not None and not 1 <= shots <= 2**63 - 1:  # numpy's multinomial bound
-            raise ValidationError(f"shots must be in [1, 2**63 - 1], got {shots}")
+        if shots is not None:
+            check_shots(shots)
         if seed < 0:
             raise ValidationError("seed must be >= 0")
         self.noise = noise
@@ -239,19 +240,10 @@ class Evaluator:
 
     def score(self, ensembles) -> list[FitnessReport]:
         """Reports of ``ensembles`` in order, one generation: the values looked up
-        in the previous call stay cached, older ones go.  Each distinct ensemble
-        is voted once, and its repeats share its report."""
+        in the previous call stay cached, older ones go.  Every ensemble is voted,
+        so repeats get equal reports, each voted on cached member values."""
         self._previous, self._dist_cache = self._dist_cache, {}
-        # reports live for one call: a report kept across calls would skip the
-        # member lookups that carry laws into this call, and cost simulations
-        reports: dict[Ensemble, FitnessReport] = {}
-        out = []
-        for ensemble in ensembles:
-            report = reports.get(ensemble)
-            if report is None:
-                report = reports[ensemble] = self.ensemble_fitness(ensemble)
-            out.append(report)
-        return out
+        return [self.ensemble_fitness(e) for e in ensembles]
 
     def member_distributions(self, circuit: Circuit, slot: int = 0) -> np.ndarray:
         """What member slot ``slot`` feeds the vote for ``circuit``, shape (T, k):

@@ -17,6 +17,7 @@ from .circuits import Circuit, CXGate, Gate, UGate
 from .ensemble import Ensemble, Evaluator, FitnessReport
 from .errors import StructuralError, ValidationError
 from .noise import NoiseModel
+from .statevector import check_shots
 
 TWO_PI = 2.0 * math.pi
 
@@ -56,8 +57,8 @@ class EvolutionConfig:
             raise ValidationError("tournament_size must be in [1, population_size]")
         if not 0.0 <= self.angle_sigma < math.inf:
             raise ValidationError(f"angle_sigma must be finite and >= 0, got {self.angle_sigma}")
-        if self.shots is not None and self.shots < 1:
-            raise ValidationError("shots must be >= 1")
+        if self.shots is not None:
+            check_shots(self.shots)
         if self.seed < 0:
             raise ValidationError("seed must be >= 0")
 

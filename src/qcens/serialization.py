@@ -20,6 +20,7 @@ from .circuits import Circuit, CXGate, Gate, UGate
 from .ensemble import Ensemble, FitnessReport, TestCase
 from .errors import ParseError, QcensError, ValidationError
 from .evolution import EvolutionConfig, Population
+from .statevector import MAX_SHOTS, check_shots
 
 POPULATION_FORMAT = "qcens-population-v1"
 
@@ -205,7 +206,10 @@ def parse_eval_mode(mode: str) -> int | None:
     if mode == "exact":
         return None
     if isinstance(mode, str) and re.fullmatch(r"shots:[1-9][0-9]*", mode):
-        return int(mode[len("shots:"):])
+        digits = mode[len("shots:"):]
+        if len(digits) > len(str(MAX_SHOTS)):  # before int(), which refuses 4,301 digits
+            raise ValidationError(f"shots must be in [1, 2**63 - 1], got {len(digits)} digits")
+        return check_shots(int(digits))
     raise ParseError(f"eval mode must be 'exact' or 'shots:<count>', got {mode!r}")
 
 

@@ -128,6 +128,16 @@ def run_ideal(circuit: Circuit, init: np.ndarray | None = None) -> np.ndarray:
     return probs @ _output_map(circuit.num_qubits, circuit.measured_qubits)
 
 
+MAX_SHOTS = 2**63 - 1  # numpy's multinomial draws an int64 count
+
+
+def check_shots(shots: int) -> int:
+    """``shots`` if it is in [1, MAX_SHOTS]; every way in checks it here."""
+    if not 1 <= shots <= MAX_SHOTS:
+        raise ValidationError(f"shots must be in [1, 2**63 - 1], got {shots}")
+    return shots
+
+
 def sample_shots(dists: np.ndarray, shots: int, rng: np.random.Generator,
                  starts=None) -> np.ndarray:
     """Empirical laws of ``shots`` independent draws from each law of ``dists``:
@@ -139,8 +149,7 @@ def sample_shots(dists: np.ndarray, shots: int, rng: np.random.Generator,
     law and its start; without ``starts`` the rows draw from ``rng`` in turn.
     A law with a negative or non-finite entry, or no mass, is refused.
     """
-    if shots < 1:
-        raise ValidationError(f"shots must be >= 1, got {shots}")
+    check_shots(shots)
     dists = np.asarray(dists, dtype=np.float64)
     valid = (dists >= 0).all()  # NaN compares False; checked before the sum can warn
     if valid:

@@ -342,6 +342,21 @@ def test_shot_count_above_the_int64_range_exits_2(trivial_setup, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["evaluate", "evolve"])
+def test_an_over_long_shot_count_exits_2(trivial_setup, tmp_path, capsys, command):
+    config_path, tests_path = trivial_setup
+    out = tmp_path / "pop.json"
+    mode = "shots:" + "9" * 5000  # past int()'s 4,300-digit limit
+    argv = {"evaluate": ["evaluate", "--population", str(noop_population(tmp_path))],
+            "evolve": ["evolve", "--config", str(config_path), "--population", str(out)]}
+    code = main([*argv[command], "--mode", mode, "--tests", str(tests_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: shots must be in [1, 2**63 - 1], got 5000 digits\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag, value, field, expected", [
     ("--seed", "9", "seed", 9),
     ("--qubits", "3", "num_qubits", 3),
@@ -422,6 +437,10 @@ MALFORMED_FILES = [
     pytest.param("config", json.dumps({**SMALL_CONFIG_OBJ, "eval_mode": 5}),
                  id="config-eval-mode-5"),
     pytest.param("config", "[1, 2]", id="config-top-level-list"),
+    pytest.param("config", json.dumps({**SMALL_CONFIG_OBJ, "eval_mode": f"shots:{2**63}"}),
+                 id="config-shots-over-int64"),
+    pytest.param("config", json.dumps({**SMALL_CONFIG_OBJ, "eval_mode": "shots:" + "9" * 5000}),
+                 id="config-shots-over-long"),
     pytest.param("config", json.dumps({**SMALL_CONFIG_OBJ, "shots": 1000}),
                  id="config-shots-key"),
     pytest.param("config", json.dumps({**SMALL_CONFIG_OBJ, "num_qubits": "four"}),

@@ -57,9 +57,11 @@ def test_config_validation():
     for sigma in (math.inf, math.nan):
         with pytest.raises(ValidationError, match="angle_sigma must be finite"):
             small_config(angle_sigma=sigma)
-    for field in ("ensemble_size", "gate_cap", "shots"):
+    for field in ("ensemble_size", "gate_cap"):
         with pytest.raises(ValidationError, match=f"{field} must be >= 1"):
             small_config(**{field: 0})
+    with pytest.raises(ValidationError, match=r"shots must be in \[1, 2\*\*63 - 1\]"):
+        small_config(shots=0)
 
 
 def test_population_refuses_unequal_lengths():
@@ -306,13 +308,13 @@ def test_circuit_absent_for_a_generation_is_simulated_again(monkeypatch):
     assert calls == [a, b, b]  # a stays cached; b, absent from the middle generation, does not
 
 
-def test_repeated_ensemble_is_voted_once_per_score_call(monkeypatch):
+def test_repeats_in_one_score_call_are_each_voted_to_equal_reports(monkeypatch):
+    simulated = count_simulations(monkeypatch)
     voted = count_votes(monkeypatch)
     a, b = (Circuit(2, (UGate(q, 1.0, 0.0, 0.0),), (0, 1)) for q in (0, 1))
-    first, second = Ensemble((a, b)), Ensemble((b, a))
-    evaluator = Evaluator(TRIVIAL_TEST)
-    reports = evaluator.score([first, second, Ensemble((a, b)), first])
-    assert voted == [first, second]
-    assert reports[0] is reports[2] is reports[3] and reports[1] is not reports[0]
-    evaluator.score([first])  # reports are not kept from one call to the next
-    assert voted == [first, second, first]
+    first = Ensemble((a, b))
+    ensembles = [first, Ensemble((b, a)), Ensemble((a, b)), first]
+    reports = Evaluator(TRIVIAL_TEST).score(ensembles)
+    assert [id(e) for e in voted] == [id(e) for e in ensembles]
+    assert reports[0] == reports[2] == reports[3]
+    assert simulated == [a, b]  # repeats and reordered members vote on cached laws

@@ -6,12 +6,11 @@ import pytest
 import qcens.ensemble as ensemble
 import qcens.harness as harness
 from qcens import EvolutionConfig, ValidationError, evolve
-from qcens.ensemble import replicate_homogeneous
 from qcens.harness import ExperimentPlan, compare_populations, run_experiment
 from qcens.iris import bundled_dataset_path, encode_all, load_dataset, split
 from qcens.serialization import read_population, result_rows_from_csv
 
-from conftest import count_votes, load_perfbench
+from conftest import load_perfbench
 
 oracle = load_perfbench("oracle")
 
@@ -179,12 +178,3 @@ def test_compare_row_does_not_depend_on_vote_summation_order(monkeypatch):
         monkeypatch.setattr(ensemble, "_vote_batch", vote)
         assert compare_populations(het, hom, 5, evaluation) == row
 
-
-def test_compare_votes_each_distinct_ensemble_once(tmp_path, monkeypatch):
-    result = run_experiment(small_plan(tmp_path))
-    het, hom = result.populations[3], result.populations[1]
-    replicas = [replicate_homogeneous(e.circuits[0], 3) for e in hom.individuals]
-    voted = count_votes(monkeypatch)
-    compare_populations(het, hom, 3, result.evaluation_tests)
-    assert len(voted) == len(set(het.individuals)) + len(set(replicas))
-    assert len(voted) < len(het.individuals) + len(replicas)

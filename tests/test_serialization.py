@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,17 @@ def test_eval_mode_names_the_grammar_for_a_non_string(tmp_path, mode):
 def test_eval_mode_refuses_counts_that_would_not_write_back(mode):
     with pytest.raises(ParseError, match="eval mode"):
         parse_eval_mode(mode)
+
+
+@pytest.mark.parametrize("digits", [str(2**63), "9" * 20, "9" * 5000])
+def test_eval_mode_refuses_counts_over_the_int64_bound_naming_the_file(tmp_path, digits):
+    assert parse_eval_mode(f"shots:{2**63 - 1}") == 2**63 - 1
+    with pytest.raises(ValidationError, match=r"^shots must be in \[1, 2\*\*63 - 1\]"):
+        parse_eval_mode(f"shots:{digits}")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"eval_mode": f"shots:{digits}"}))
+    with pytest.raises(ValidationError, match=rf"^{re.escape(str(path))}: shots must be in \[1, 2\*\*63 - 1\]"):
+        read_config(path)
 
 
 def test_config_key_shots_is_refused_naming_eval_mode():

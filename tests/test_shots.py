@@ -106,6 +106,10 @@ def test_shot_counts_run_up_to_the_int64_bound_of_numpys_multinomial():
     circuit = Circuit(4, (UGate(0, 1.0, 0.0, 0.0),), (0, 1))
     report, = Evaluator(IRIS_TESTS[:3], shots=2**63 - 1).score([Ensemble((circuit,))])
     assert 0.0 <= report.fitness <= 1.0
+    refusals = (lambda shots: Evaluator(IRIS_TESTS, shots=shots),
+                lambda shots: EvolutionConfig(shots=shots),
+                lambda shots: sample_shots(np.array([0.5, 0.5]), shots, np.random.default_rng(0)))
     for shots in (0, 2**63):
-        with pytest.raises(ValidationError, match=r"shots must be in \[1, 2\*\*63 - 1\]"):
-            Evaluator(IRIS_TESTS, shots=shots)
+        for refuse in refusals:
+            with pytest.raises(ValidationError, match=r"shots must be in \[1, 2\*\*63 - 1\]"):
+                refuse(shots)
