@@ -4,13 +4,15 @@ A NoiseModel applies a depolarizing channel after every gate (strength p1 for
 single-qubit U gates, p2 on both qubits touched by a CX) and classical readout
 bit-flips to the final measured distribution.  Simulation evolves a density
 matrix, so results are exact and deterministic.  ``run_noisy`` updates its B states
-(the flattened test batch) in place: one (2**n, 2**n, B) stack, and one scratch buffer.
+(the flattened test batch) in place: one (2**n, 2**n, B) stack, and one scratch stack. Both are
+reused across calls of one shape and held until a call of another, so only one thread may run it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -42,14 +44,26 @@ RATE_FIELDS = tuple(f.name for f in fields(NoiseModel) if f.type == "float")
 ZERO_NOISE = NoiseModel(0.0, 0.0, 0.0, 0.0, name="zero")
 
 
+@lru_cache(maxsize=1)
+def _stacks(d: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """``run_noisy``'s (d, d, b) state and scratch stacks, held for the last shape only."""
+    return np.empty((d, d, b), np.complex128), np.empty((d, d, b), np.complex128)
+
+
+@lru_cache(maxsize=None)
+def _block_indices(n: int, qubits: tuple[int, ...]) -> tuple[tuple, ...]:
+    """Index of each block of a (2,) * 2n + (B,) stack where row and column agree on ``qubits``."""
+    axes = {a: k for k, q in enumerate(qubits) for a in (n - 1 - q, 2 * n - 1 - q)}  # row, column
+    return tuple(tuple(bits[axes[a]] if a in axes else slice(None) for a in range(2 * n))
+                 for bits in itertools.product((0, 1), repeat=len(qubits)))
+
+
 def _depolarize_in_place(rho: np.ndarray, n: int, qubits: tuple[int, ...], p: float,
                          scratch: np.ndarray) -> None:
     """rho <- (1 - p) * rho + p * (I / 2**m on the m qubits, tensor their partial trace) on a
     (2**n, 2**n, B) stack: that is their blocks' mean, added where row and column agree on them."""
-    axes = {a: k for k, q in enumerate(qubits) for a in (n - 1 - q, 2 * n - 1 - q)}  # row, column
     tensor = rho.reshape((2,) * (2 * n) + rho.shape[-1:])
-    blocks = [tensor[tuple(bits[axes[a]] if a in axes else slice(None) for a in range(2 * n))]
-              for bits in itertools.product((0, 1), repeat=len(qubits))]
+    blocks = [tensor[i] for i in _block_indices(n, qubits)]
     mixed = scratch.reshape(-1)[:blocks[0].size].reshape(blocks[0].shape)
     mixed[...] = 0  # as sum(blocks) starts, so the sign of a zero sum is the same
     for block in blocks:
@@ -85,7 +99,8 @@ def run_noisy(circuit: Circuit, init: np.ndarray | None = None,
               noise: NoiseModel = ZERO_NOISE) -> np.ndarray:
     """Output distribution under depolarizing gate noise and readout error, in the shape
     ``run_ideal`` gives: |init><init| evolves through the gates, each followed by a depolarizing
-    channel, then is marginalized over the measured qubits and read out with bit-flips."""
+    channel, then is marginalized over the measured qubits and read out with bit-flips. It reuses
+    the last shape's stacks, so it must not run in two threads at once."""
     n = circuit.num_qubits
     if n > MAX_DENSITY_QUBITS:
         raise ValidationError(
@@ -93,9 +108,9 @@ def run_noisy(circuit: Circuit, init: np.ndarray | None = None,
         )
     init = _initial_state(circuit, init)
     flat = init.reshape(-1, 1 << n)
-    rho = np.einsum("ti,tj->ijt", flat, np.conj(flat), order="C")  # |init><init|, batch last
-    # gates reuse one scratch buffer the size of rho: full-size temporaries re-fault the heap
-    spare = np.empty_like(rho)
+    # gates reuse a scratch stack, calls both: temporaries or per-call stacks re-fault the heap
+    rho, spare = _stacks(1 << n, flat.shape[0])
+    np.einsum("ti,tj->ijt", flat, np.conj(flat), out=rho)  # |init><init|, batch last
     for gate in circuit.gates:  # validated with the circuit, so unchecked here
         if isinstance(gate, UGate):
             mat = u_matrix(gate.theta, gate.phi, gate.lam)

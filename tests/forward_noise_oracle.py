@@ -5,6 +5,10 @@ test batch moved to the last axis: a (..., 2**n, 2**n) stack with the batch in f
 they were; only the imports are new. ``_value_map`` and ``_readout_matrix`` are the read-out
 helpers the program had before ``statevector._output_map`` replaced them, so the oracle
 shares no read-out code with what it checks.
+
+``per_call_block_indices`` and ``per_call_depolarize_in_place`` are the batch-last
+``qcens.noise._depolarize_in_place`` as it was before ``_block_indices`` cached its block
+indices: they build the indices on every call, as that code did.
 """
 
 from __future__ import annotations
@@ -107,3 +111,28 @@ def run_noisy(circuit: Circuit, init: np.ndarray | None = None,
                               noise.readout_flip_0to1, noise.readout_flip_1to0)
     # one (2**n, k) map: basis state -> measured value -> read-out value
     return probs @ (_value_map(n, circuit.measured_qubits) @ readout.T)
+
+
+def per_call_block_indices(n: int, qubits: tuple[int, ...]) -> list[tuple]:
+    """The indices ``per_call_depolarize_in_place`` builds, in its order."""
+    axes = {a: k for k, q in enumerate(qubits) for a in (n - 1 - q, 2 * n - 1 - q)}  # row, column
+    return [tuple(bits[axes[a]] if a in axes else slice(None) for a in range(2 * n))
+            for bits in itertools.product((0, 1), repeat=len(qubits))]
+
+
+def per_call_depolarize_in_place(rho: np.ndarray, n: int, qubits: tuple[int, ...], p: float,
+                                 scratch: np.ndarray) -> None:
+    """rho <- (1 - p) * rho + p * (I / 2**m on the m qubits, tensor their partial trace) on a
+    (2**n, 2**n, B) stack: that is their blocks' mean, added where row and column agree on them."""
+    axes = {a: k for k, q in enumerate(qubits) for a in (n - 1 - q, 2 * n - 1 - q)}  # row, column
+    tensor = rho.reshape((2,) * (2 * n) + rho.shape[-1:])
+    blocks = [tensor[tuple(bits[axes[a]] if a in axes else slice(None) for a in range(2 * n))]
+              for bits in itertools.product((0, 1), repeat=len(qubits))]
+    mixed = scratch.reshape(-1)[:blocks[0].size].reshape(blocks[0].shape)
+    mixed[...] = 0  # as sum(blocks) starts, so the sign of a zero sum is the same
+    for block in blocks:
+        mixed += block
+    mixed *= p / len(blocks)
+    rho *= 1.0 - p
+    for block in blocks:
+        block += mixed

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import forward_noise_oracle
 from qcens import CXGate, Circuit, NoiseModel, UGate, ValidationError, ZERO_NOISE
 from qcens.ensemble import Ensemble, Evaluator, TestCase, _vote_batch
-from qcens.noise import _depolarize_in_place, run_noisy
+from qcens.noise import _block_indices, _depolarize_in_place, _stacks, run_noisy
 from qcens.noisefiles import (
     load_noise_file,
     load_preset,
@@ -131,6 +131,23 @@ NOISE_MODELS = st.deferred(
 RATES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 
 
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), n=st.integers(1, 6), batch=st.integers(1, 3), p=RATES)
+def test_block_indices_are_the_per_call_construction_cached(data, n, batch, p):
+    qubits = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(2, n),
+                                      unique=True)))
+    cached = _block_indices(n, qubits)
+    assert list(cached) == forward_noise_oracle.per_call_block_indices(n, qubits)
+    assert _block_indices(n, qubits) is cached
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = (1 << n, 1 << n, batch)
+    rho = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    want = rho.copy()
+    _depolarize_in_place(rho, n, qubits, p, np.empty_like(rho))
+    forward_noise_oracle.per_call_depolarize_in_place(want, n, qubits, p, np.empty_like(want))
+    assert rho.tobytes() == want.tobytes()
+
+
 @settings(deadline=None, max_examples=80)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
        batch=st.sampled_from([None, (), (0,), "T", (2, 3)]),
@@ -158,24 +175,55 @@ def test_run_noisy_matches_forward_oracle_bit_for_bit(seed, n, batch, layout, no
         assert got.tobytes() == run_noisy(circuit, np.ascontiguousarray(init), noise).tobytes()
 
 
+def test_run_noisy_reuses_its_stacks_unseen_from_outside():
+    # interleaved shapes and models each match the oracle, and a later call, of the same shape
+    # or another, leaves every earlier result as it was
+    rng = np.random.default_rng(20)
+    models = [load_preset(name) for name in preset_names()] + [ZERO_NOISE]
+    shapes = [(4, 100), (4, 100), (2, 7), (4, 100), (3, None), (2, 7), (5, 50), (4, 100),
+              (1, 1), (3, None), (2, 7), (4, 100)]
+    kept = []
+    for i, (n, batch) in enumerate(shapes):
+        circuit, noise = random_test_circuit(rng, num_qubits=n), models[i % len(models)]
+        init = None
+        if batch is not None:
+            init = rng.normal(size=(batch, 1 << n)) + 1j * rng.normal(size=(batch, 1 << n))
+            init /= np.linalg.norm(init, axis=1, keepdims=True)
+        got = run_noisy(circuit, init, noise)
+        want = forward_noise_oracle.run_noisy(circuit, init, noise)
+        assert got.tobytes() == want.tobytes()
+        # one shape's stacks at most, and no result is a view of them
+        assert _stacks.cache_info().currsize == 1
+        assert not any(np.shares_memory(got, stack) for stack in _stacks(1 << n, batch or 1))
+        kept.append((got, want))
+    for got, want in kept:
+        assert got.tobytes() == want.tobytes()
+
+
 def test_run_noisy_peak_memory_stays_below_the_forward_loop():
-    # a full-size temporary per gate would make the allocator return and re-fault memory
+    # a full-size temporary per gate, or stacks made and freed by every call, would make the
+    # allocator return and re-fault memory
     rng = np.random.default_rng(16)
     circuit = Circuit(4, (UGate(1, 0.3, 0.2, 0.1), CXGate(0, 2), UGate(3, 1.1, 2.2, 0.4),
                           CXGate(3, 1), UGate(0, 2.0, 0.5, 1.5)), (0, 1))
     init = rng.normal(size=(100, 16)) + 1j * rng.normal(size=(100, 16))
     init /= np.linalg.norm(init, axis=1, keepdims=True)
     storm = load_preset("storm")
-    run_noisy(circuit, init, storm)  # fill the caches first
-    tracemalloc.start()
-    try:
-        run_noisy(circuit, init, storm)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # in stacks of rho: the stack, its scratch and small temporaries (2.13 when measured); a
-    # buffered full-size copy, such as a CX take in mode="raise" makes, reaches 3
-    assert peak <= 2.5 * (16 * 16 * 100 * 16)
+
+    def peak_in_stacks():
+        tracemalloc.start()
+        try:
+            run_noisy(circuit, init, storm)
+            return tracemalloc.get_traced_memory()[1] / (16 * 16 * 100 * 16)
+        finally:
+            tracemalloc.stop()
+
+    run_noisy(circuit, init[:50], storm)  # fill every cache but the stacks of this shape
+    # a new shape makes the stack and its scratch (2.13 when measured); a buffered full-size
+    # copy, such as a CX take in mode="raise" makes, reaches 3
+    assert peak_in_stacks() <= 2.5
+    # a warmed shape reuses both (0.13 when measured; 2.13 when each call made its own)
+    assert peak_in_stacks() <= 0.5
 
 
 def test_vote_peak_memory_holds_one_gather_at_a_time():
