@@ -92,3 +92,25 @@ class Circuit:
     @property
     def num_output_values(self) -> int:
         return 1 << self.num_output_bits
+
+
+def light_cone(circuit: Circuit) -> Circuit:
+    """The gates that can reach a measured qubit, in order; ``circuit`` itself if that is all.
+
+    Walking back from the measured qubits, a gate is kept if it touches a live qubit, and a kept
+    CX makes both its qubits live.  A dropped gate acts only on qubits that never again meet a
+    live one, and every channel here (a gate, its depolarizing, the readout flips) is
+    trace-preserving on its own qubits, so the measured marginal is the same, ideal or noisy.
+    """
+    live = set(circuit.measured_qubits)
+    kept = []
+    for gate in reversed(circuit.gates):
+        if isinstance(gate, CXGate):
+            if gate.control in live or gate.target in live:
+                live.update((gate.control, gate.target))
+                kept.append(gate)
+        elif gate.target in live:
+            kept.append(gate)
+    if len(kept) == len(circuit.gates):
+        return circuit
+    return Circuit(circuit.num_qubits, tuple(reversed(kept)), circuit.measured_qubits)

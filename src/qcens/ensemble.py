@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import Circuit, UGate
+from .circuits import Circuit, UGate, light_cone
 from .errors import StructuralError, ValidationError
 from .noise import NoiseModel, run_noisy
 from .statevector import check_shots, evolve_state, run_ideal, sample_shots
@@ -198,7 +198,13 @@ class Evaluator:
     feeds the vote for two ``score`` calls: the values looked up in this call
     and those of the call before.  A circuit that appears in many ensembles
     (elites, homogeneous replicas) or survives into the next call is simulated
-    once; one absent for a whole call is simulated again.  ``shots=None`` feeds
+    once; one absent for a whole call is simulated again.  A circuit missing from
+    the cache is simulated as its light cone (``circuits.light_cone``), whose law
+    is cached under the cone too, so circuits that differ only in gates that
+    cannot reach a measured qubit share one simulation.  A law so computed may
+    differ in its last bits from a run of every gate, and so may ``per_test``
+    from files written by earlier versions; a rounded fitness does not, unless
+    its exact mean lies on a rounding midpoint.  ``shots=None`` feeds
     the exact member distributions (member laws), cached per circuit.
     Otherwise each slot feeds ``shots``-sample empirical estimates of its
     circuit's law, cached per (circuit, slot): test t of slot m is sampled
@@ -249,19 +255,38 @@ class Evaluator:
         """What member slot ``slot`` feeds the vote for ``circuit``, shape (T, k):
         the exact per-test output distributions, or their shot estimates."""
         key = circuit if self.shots is None else (circuit, slot)
-        dists = self._dist_cache.get(key)
-        if dists is not None:
-            return dists
-        dists = self._previous.get(key)
+        dists = self._recall(key)
         if dists is None:
-            states = self._states_for(circuit.num_qubits)
-            if self.noise is None:
-                dists = run_ideal(circuit, states)
-            else:
-                dists = run_noisy(circuit, states, self.noise)
-            if self.shots is not None:
-                dists = self._degrade_to_shots(dists, slot)
-        self._dist_cache[key] = dists
+            dists = self._dist_cache[key] = self._cone_law(circuit, slot)
+        return dists
+
+    def _recall(self, key) -> np.ndarray | None:
+        """The values cached under ``key`` in this call or the one before, kept for this call."""
+        dists = self._dist_cache.get(key)
+        if dists is None:
+            dists = self._previous.get(key)
+            if dists is not None:
+                self._dist_cache[key] = dists
+        return dists
+
+    def _cone_law(self, circuit: Circuit, slot: int) -> np.ndarray:
+        """What ``circuit``'s light cone feeds slot ``slot``.  A cone smaller than the
+        circuit has its own key, under which its values are recalled or cached."""
+        cone, key = light_cone(circuit), None
+        if cone is not circuit:
+            key = cone if self.shots is None else (cone, slot)
+            dists = self._recall(key)
+            if dists is not None:
+                return dists
+        states = self._states_for(cone.num_qubits)
+        if self.noise is None:
+            dists = run_ideal(cone, states)
+        else:
+            dists = run_noisy(cone, states, self.noise)
+        if self.shots is not None:
+            dists = self._degrade_to_shots(dists, slot)
+        if key is not None:
+            self._dist_cache[key] = dists
         return dists
 
     def ensemble_fitness(self, ensemble: Ensemble) -> FitnessReport:

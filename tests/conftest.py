@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qcens import Circuit, CXGate, Evaluator, UGate
+from qcens import Circuit, CXGate, Evaluator, TestCase, UGate
 
 X = (math.pi, 0.0, math.pi)
 HADAMARD = (math.pi / 2, 0.0, math.pi)
@@ -14,6 +14,19 @@ HADAMARD = (math.pi / 2, 0.0, math.pi)
 def bell_circuit() -> Circuit:
     """Hadamard on qubit 0 then CX(0->1): marginals {00: 0.5, 11: 0.5}."""
     return Circuit(2, (UGate(0, *HADAMARD), CXGate(0, 1)), (0, 1))
+
+
+def circuits_sharing_a_light_cone() -> tuple[Circuit, Circuit, Circuit]:
+    """A 3-qubit circuit measuring qubit 0, then two circuits that add to it only gates
+    that cannot reach qubit 0: the first is the light cone of the other two."""
+    kept = (UGate(1, 0.7, 0.2, 0.0), CXGate(1, 0), UGate(0, 1.1, 0.0, 0.4))
+    return (Circuit(3, kept, (0,)),
+            Circuit(3, kept + (UGate(2, 0.4, 0.0, 0.0),), (0,)),
+            Circuit(3, (UGate(2, 1.9, 0.0, 0.0),) + kept + (UGate(1, 0.3, 0.0, 0.0),), (0,)))
+
+
+THREE_QUBIT_TESTS = [TestCase(expected=t % 2, features=(0.4 * t, 0.9 * t, 1.3 * t))
+                     for t in range(5)]
 
 
 def load_perfbench(name: str):

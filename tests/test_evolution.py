@@ -24,7 +24,8 @@ from qcens.noisefiles import load_preset
 from qcens.serialization import population_to_obj
 from qcens.statevector import run_ideal
 
-from conftest import count_votes, load_perfbench
+from conftest import (THREE_QUBIT_TESTS, circuits_sharing_a_light_cone, count_votes,
+                      load_perfbench)
 
 oracle = load_perfbench("oracle")
 
@@ -318,3 +319,45 @@ def test_repeats_in_one_score_call_are_each_voted_to_equal_reports(monkeypatch):
     assert [id(e) for e in voted] == [id(e) for e in ensembles]
     assert reports[0] == reports[2] == reports[3]
     assert simulated == [a, b]  # repeats and reordered members vote on cached laws
+
+
+@pytest.mark.parametrize("noise", [None, "storm"])
+def test_circuits_that_differ_outside_the_light_cone_share_one_simulation(monkeypatch, noise):
+    simulated = []
+    for name in ("run_ideal", "run_noisy"):
+        def counting(circuit, *args, real=getattr(ensemble, name)):
+            simulated.append(circuit)
+            return real(circuit, *args)
+        monkeypatch.setattr(ensemble, name, counting)
+    cone, a, b = circuits_sharing_a_light_cone()
+    evaluator = Evaluator(THREE_QUBIT_TESTS, noise=load_preset(noise) if noise else None)
+    for generation in ([a, b], [cone], [a]):  # a, absent for a call, finds the cone's law
+        evaluator.score([Ensemble(tuple(generation))])
+    assert simulated == [cone]
+    laws = [evaluator.member_distributions(c) for c in (a, b, cone)]
+    assert laws[0] is laws[1] is laws[2]
+
+
+@pytest.mark.parametrize("noise, shots", [(None, None), ("storm", None), (None, 20)],
+                         ids=["ideal", "storm", "shots-20"])
+def test_member_distributions_is_looked_up_once_per_member_slot(monkeypatch, noise, shots):
+    """perfbench counts ``ensemble.member_lookups`` by wrapping this method, so the
+    light cone must be resolved without calling it again."""
+    looked_up = []
+    real = Evaluator.member_distributions
+
+    def counting(self, circuit, slot=0):
+        looked_up.append(slot)
+        return real(self, circuit, slot)
+
+    monkeypatch.setattr(Evaluator, "member_distributions", counting)
+    voted = count_votes(monkeypatch)
+    config = EvolutionConfig(num_qubits=4, measured_qubits=(0, 1), population_size=10,
+                             generations=4, ensemble_size=3, gate_cap=8, seed=5, shots=shots)
+    evolve(config, IRIS_TESTS, noise=load_preset(noise) if noise else None)
+    cone, a, b = circuits_sharing_a_light_cone()
+    evaluator = Evaluator(THREE_QUBIT_TESTS, shots=shots)
+    voted_before = len(voted)
+    evaluator.score([Ensemble((a, b, cone)), Ensemble((cone, a, a)), Ensemble((b, b, b))])
+    assert len(voted) == voted_before + 3
+    assert looked_up == [m for e in voted for m in range(len(e))]

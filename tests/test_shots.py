@@ -15,7 +15,8 @@ from qcens.iris import bundled_dataset_path, encode_all, load_dataset, split
 from qcens.serialization import read_population, write_population
 from qcens.statevector import sample_shots
 
-from conftest import load_perfbench, random_test_circuit
+from conftest import (THREE_QUBIT_TESTS, circuits_sharing_a_light_cone, load_perfbench,
+                      random_test_circuit)
 
 IRIS_TESTS = split(encode_all(load_dataset(bundled_dataset_path())), 100, 3)[0][:30]
 oracle = load_perfbench("oracle")
@@ -86,6 +87,21 @@ def test_one_circuit_in_two_slots_gets_each_slots_estimate():
     want = shot_estimates([laws, laws], 100, 8)
     np.testing.assert_array_equal(np.stack(estimates), want)
     assert report == oracle_report([circuit, circuit], tests, 100, 8)
+
+
+def test_circuits_that_differ_outside_the_light_cone_share_one_estimate_per_slot(monkeypatch):
+    draws = count_draws(monkeypatch)
+    cone, a, b = circuits_sharing_a_light_cone()
+    evaluator = Evaluator(THREE_QUBIT_TESTS, shots=50, seed=4)
+    evaluator.score([Ensemble((a, b)), Ensemble((b, a)), Ensemble((cone, cone))])
+    assert len(draws) == 2 * len(THREE_QUBIT_TESTS)  # one block per slot
+    law = Evaluator(THREE_QUBIT_TESTS).member_distributions(cone)
+    for slot in (0, 1):
+        estimates = [evaluator.member_distributions(c, slot) for c in (a, b, cone)]
+        assert estimates[0] is estimates[1] is estimates[2]
+        np.testing.assert_array_equal(estimates[0], oracle.shot_estimates(law, 50, 4, slot))
+    assert not np.array_equal(evaluator.member_distributions(a, 0),
+                              evaluator.member_distributions(a, 1))
 
 
 def test_fitness_report_holds_per_test_as_float64_array(tmp_path):
