@@ -29,8 +29,10 @@ from .statevector import check_shots, evolve_state, run_ideal, sample_shots
 
 # Ensemble fitness is reported rounded to this many decimals.  Fitnesses that
 # are equal in exact arithmetic but differ in their last bits, by the summation
-# order of the vote or the simulation, then tie, so neither evolution's
-# selection nor a comparison's ranks depend on that order.
+# order of the vote or the simulation, then tie, unless their exact mean lies
+# within those bits of a rounding midpoint: there they can round 1e-12 apart.
+# So evolution's selection and a comparison's ranks depend on that order only
+# at such midpoints.
 SELECTION_DECIMALS = 12
 
 

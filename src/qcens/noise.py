@@ -3,9 +3,13 @@
 A NoiseModel applies a depolarizing channel after every gate (strength p1 for
 single-qubit U gates, p2 on both qubits touched by a CX) and classical readout
 bit-flips to the final measured distribution.  Simulation evolves a density
-matrix, so results are exact and deterministic.  ``run_noisy`` updates its B states
-(the flattened test batch) in place: one (2**n, 2**n, B) stack, and one scratch stack. Both are
-reused across calls of one shape and held until a call of another, so only one thread may run it.
+matrix, so results are exact and deterministic.  It evolves only the m live qubits, those a
+gate acts on or that are measured: no channel acts on the others, so the measured law follows
+from the partial trace of |init><init| over them (Nielsen & Chuang, §2.4.3 and §8.2-8.3), at
+4**m rather than 4**n per test and gate.  ``run_noisy`` updates its B states (the flattened test
+batch) in place: one (2**n, 2**n, B) stack, and one scratch stack, of which m live qubits use a
+(2**m, 2**m, B) prefix.  Both are reused across calls of one shape and held until a call of
+another, so only one thread may run it.
 """
 
 from __future__ import annotations
@@ -98,9 +102,11 @@ def _apply_u_rho(rho: np.ndarray, spare: np.ndarray, n: int, target: int, mat: n
 def run_noisy(circuit: Circuit, init: np.ndarray | None = None,
               noise: NoiseModel = ZERO_NOISE) -> np.ndarray:
     """Output distribution under depolarizing gate noise and readout error, in the shape
-    ``run_ideal`` gives: |init><init| evolves through the gates, each followed by a depolarizing
-    channel, then is marginalized over the measured qubits and read out with bit-flips. It reuses
-    the last shape's stacks, so it must not run in two threads at once."""
+    ``run_ideal`` gives: |init><init|, traced over the qubits the circuit neither acts on nor
+    measures, evolves through the gates on the live qubits left, each gate followed by a
+    depolarizing channel, then is marginalized over the measured qubits and read out with
+    bit-flips. That is the full-register law up to its last bits, and bit for bit when every
+    qubit is live. It reuses the last shape's stacks, so it must not run in two threads at once."""
     n = circuit.num_qubits
     if n > MAX_DENSITY_QUBITS:
         raise ValidationError(
@@ -108,21 +114,36 @@ def run_noisy(circuit: Circuit, init: np.ndarray | None = None,
         )
     init = _initial_state(circuit, init)
     flat = init.reshape(-1, 1 << n)
+    b = flat.shape[0]
+    # the live qubits, those a gate acts on or that are measured, relabelled 0..m-1 in order
+    live = sorted(set(circuit.measured_qubits).union(
+        *((g.target,) if isinstance(g, UGate) else (g.control, g.target) for g in circuit.gates)))
+    m, label = len(live), {q: j for j, q in enumerate(live)}
     # gates reuse a scratch stack, calls both: temporaries or per-call stacks re-fault the heap
-    rho, spare = _stacks(1 << n, flat.shape[0])
-    np.einsum("ti,tj->ijt", flat, np.conj(flat), out=rho)  # |init><init|, batch last
+    rho, spare = _stacks(1 << n, b)
+    if m == n:
+        np.einsum("ti,tj->ijt", flat, np.conj(flat), out=rho)  # |init><init|, batch last
+    else:  # in a (2**m, 2**m, B) prefix of each stack, the partial trace of |init><init| over
+        # the other qubits: their bits go last in each state's index, and are summed over
+        rho, spare = (s.reshape(-1)[:b << 2 * m].reshape(1 << m, 1 << m, b) for s in (rho, spare))
+        dead = [q for q in range(n) if q not in label]
+        order = [0] + [n - q for q in reversed(live)] + [n - q for q in reversed(dead)]
+        split = flat.reshape((b,) + (2,) * n).transpose(order).reshape(b, 1 << m, 1 << n - m)
+        np.einsum("tld,tmd->lmt", split, np.conj(split), out=rho)
     for gate in circuit.gates:  # validated with the circuit, so unchecked here
         if isinstance(gate, UGate):
             mat = u_matrix(gate.theta, gate.phi, gate.lam)
-            _apply_u_rho(rho, spare, n, gate.target, mat, noise.p1)
+            _apply_u_rho(rho, spare, m, label[gate.target], mat, noise.p1)
         else:  # perm is a permutation, so "clip" never clips; it avoids a buffered copy
-            perm = _cx_permutation(n, gate.control, gate.target)
+            control, target = label[gate.control], label[gate.target]
+            perm = _cx_permutation(m, control, target)
             np.take(rho, perm, axis=0, out=spare, mode="clip")
             np.take(spare, perm, axis=1, out=rho, mode="clip")
             if noise.p2:
-                _depolarize_in_place(rho, n, (gate.control, gate.target), noise.p2, spare)
-    # matmul rounds by operand strides, so the diagonal sits as in a (..., 2**n, 2**n) stack
+                _depolarize_in_place(rho, m, (control, target), noise.p2, spare)
+    # matmul rounds by operand strides, so the diagonal sits as in a (..., 2**m, 2**m) stack
     diag = np.einsum("...ii->...i", spare.reshape(init.shape[:-1] + rho.shape[:2]))
     diag[...] = np.einsum("iit->ti", rho).reshape(diag.shape)
-    return np.real(diag) @ _output_map(n, circuit.measured_qubits,
-                                       noise.readout_flip_0to1, noise.readout_flip_1to0)
+    measured = tuple(label[q] for q in circuit.measured_qubits)
+    return np.real(diag) @ _output_map(m, measured, noise.readout_flip_0to1,
+                                       noise.readout_flip_1to0)

@@ -122,7 +122,9 @@ def run_ideal(circuit: Circuit, init: np.ndarray | None = None) -> np.ndarray:
     """Exact output distribution over the measured qubits.
 
     ``init`` defaults to the all-zeros state.  A batch of initial states (one
-    per row) yields a batch of distributions.
+    per row) yields a batch of distributions.  Unlike ``run_noisy`` it runs on
+    every qubit: traced over untouched qubits, a state is in general mixed, and
+    a pure state that stands for it (a purification) has T * 2**n amplitudes again.
     """
     probs = np.abs(evolve_state(circuit, init)) ** 2
     return probs @ _output_map(circuit.num_qubits, circuit.measured_qubits)

@@ -1,10 +1,16 @@
 """The forward density-matrix loop of ``qcens.noise.run_noisy`` as it was before the
 test batch moved to the last axis: a (..., 2**n, 2**n) stack with the batch in front.
 
-``qcens.noise.run_noisy`` must give these outputs bit for bit. The functions are kept as
-they were; only the imports are new. ``_value_map`` and ``_readout_matrix`` are the read-out
-helpers the program had before ``statevector._output_map`` replaced them, so the oracle
-shares no read-out code with what it checks.
+The functions are kept as they were; only the imports and ``run_noisy``'s ``live_only``
+start are new. ``_value_map`` and ``_readout_matrix`` are the read-out helpers the program
+had before ``statevector._output_map`` replaced them, so the oracle shares no read-out code
+with what it checks.
+
+``run_noisy(..., live_only=True)`` starts from the partial trace of |init><init| over the
+qubits the circuit neither acts on nor measures (``live_register``), and runs the same loop
+on the qubits left, relabelled in order; without untouched qubits it is ``run_noisy``.
+``qcens.noise.run_noisy``, which runs on the live qubits, must give its outputs bit for bit;
+it stays within rounding of the full-register ``run_noisy``.
 
 ``per_call_block_indices`` and ``per_call_depolarize_in_place`` are the batch-last
 ``qcens.noise._depolarize_in_place`` as it was before ``_block_indices`` cached its block
@@ -14,6 +20,7 @@ indices: they build the indices on every call, as that code did.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from functools import lru_cache, reduce
 
 import numpy as np
@@ -75,13 +82,51 @@ def _depolarize_in_place(rho: np.ndarray, n: int, qubits: tuple[int, ...], p: fl
         block += mixed
 
 
+def partial_trace(rho: np.ndarray, n: int, kept: list[int]) -> np.ndarray:
+    """Tr over the qubits not in ``kept`` of a (..., 2**n, 2**n) stack, on the kept qubits
+    relabelled in order: the sum, from zero and in increasing order of d, of the blocks whose
+    row and column both hold the dropped qubits in basis state d."""
+    dropped = [q for q in reversed(range(n)) if q not in kept]  # the highest is d's top bit
+    batch = rho.shape[:-2]
+    tensor = rho.reshape(batch + (2,) * (2 * n))
+    out = np.zeros(batch + (1 << len(kept),) * 2, dtype=rho.dtype)
+    for bits in itertools.product((0, 1), repeat=len(dropped)):
+        index = [slice(None)] * tensor.ndim
+        for q, bit in zip(dropped, bits):  # row axis of qubit q, then its column axis
+            index[len(batch) + n - 1 - q] = index[len(batch) + 2 * n - 1 - q] = bit
+        out += tensor[tuple(index)].reshape(out.shape)
+    return out
+
+
+def live_qubits(circuit: Circuit) -> list[int]:
+    """The qubits a gate of ``circuit`` acts on or that it measures, in order."""
+    touched = [(g.target,) if isinstance(g, UGate) else (g.control, g.target)
+               for g in circuit.gates]
+    return sorted(set(circuit.measured_qubits).union(*touched))
+
+
+def live_register(circuit: Circuit, rho: np.ndarray) -> tuple[Circuit, np.ndarray]:
+    """``circuit`` on its live qubits (``live_qubits``), relabelled 0..m-1 in order, with
+    ``rho`` traced over the others; both as given if all are live."""
+    live = live_qubits(circuit)
+    if len(live) == circuit.num_qubits:
+        return circuit, rho
+    label = {q: j for j, q in enumerate(live)}
+    gates = tuple(replace(g, target=label[g.target]) if isinstance(g, UGate)
+                  else replace(g, control=label[g.control], target=label[g.target])
+                  for g in circuit.gates)
+    live_circuit = Circuit(len(live), gates, tuple(label[q] for q in circuit.measured_qubits))
+    return live_circuit, partial_trace(rho, circuit.num_qubits, live)
+
+
 def run_noisy(circuit: Circuit, init: np.ndarray | None = None,
-              noise: NoiseModel = ZERO_NOISE) -> np.ndarray:
+              noise: NoiseModel = ZERO_NOISE, live_only: bool = False) -> np.ndarray:
     """Output distribution under depolarizing gate noise and readout error.
 
     Evolves |init><init| through the gate list, applying a depolarizing
     channel after each gate, then marginalizes over the measured qubits and
-    applies the readout bit-flips.
+    applies the readout bit-flips.  With ``live_only`` it evolves the partial
+    trace over the untouched qubits instead (``live_register``).
     """
     n = circuit.num_qubits
     if n > MAX_DENSITY_QUBITS:
@@ -90,6 +135,9 @@ def run_noisy(circuit: Circuit, init: np.ndarray | None = None,
         )
     init = _initial_state(circuit, init)
     rho = np.einsum("...i,...j->...ij", init, np.conj(init))  # |init><init|
+    if live_only:
+        circuit, rho = live_register(circuit, rho)
+        n = circuit.num_qubits
     # gates update rho in place, with these two buffers as scratch: full-size
     # temporaries per gate would make the allocator return and re-fault memory
     spare = np.empty_like(rho)
