@@ -6,7 +6,11 @@ bit-flips to the final measured distribution.  Simulation evolves a density
 matrix, so results are exact and deterministic.  It evolves only the m live qubits, those a
 gate acts on or that are measured: no channel acts on the others, so the measured law follows
 from the partial trace of |init><init| over them (Nielsen & Chuang, §2.4.3 and §8.2-8.3), at
-4**m rather than 4**n per test and gate.  ``run_noisy`` updates its B states (the flattened test
+4**m rather than 4**n per test and gate.  A U gate and the depolarizing after it are one linear
+map on the four (row bit, column bit) entries of its target, a 4x4 superoperator, and the
+depolarizing commutes with any unitary on its qubit (§8.2-8.3); so each run of U gates on a qubit
+with no CX on it between is applied as one step, the product of their maps, which is the same
+channel.  ``run_noisy`` updates its B states (the flattened test
 batch) in place: one (2**n, 2**n, B) stack, and one scratch stack, of which m live qubits use a
 (2**m, 2**m, B) prefix.  Both are reused across calls of one shape and held until a call of
 another, so only one thread may run it.
@@ -78,24 +82,28 @@ def _depolarize_in_place(rho: np.ndarray, n: int, qubits: tuple[int, ...], p: fl
         block += mixed
 
 
-def _apply_u_rho(rho: np.ndarray, spare: np.ndarray, n: int, target: int, mat: np.ndarray,
-                 p: float) -> None:
-    """rho <- U rho U^dagger in place on a (2**n, 2**n, B) stack, depolarized on the target with
-    strength p; ``spare`` is scratch. The stack is copied with the target's row and column axes in
-    front, so each pass mixes contiguous halves: numpy buffers strided half-views."""
+def _u_map(u: list, keep: float) -> np.ndarray:
+    """The 4x4 superoperator of rho -> keep * U rho U^dagger + (1 - keep) * Tr(rho) * I/2 on one
+    qubit's entries (row bit r, column bit c) at index 2r + c: keep * U (x) conj(U), plus
+    (1 - keep)/2 where r == c in both. ``u`` is U as nested lists: plain Python is faster here."""
+    mix = (1.0 - keep) / 2
+    s = [[keep * u[i][k] * u[j][l].conjugate() for k in (0, 1) for l in (0, 1)]
+         for i in (0, 1) for j in (0, 1)]
+    for row in (s[0], s[3]):
+        row[0] += mix
+        row[3] += mix
+    return np.array(s)
+
+
+def _apply_u_rho(rho: np.ndarray, spare: np.ndarray, n: int, target: int, s: np.ndarray) -> None:
+    """rho <- S(rho) in place on a (2**n, 2**n, B) stack, S a 4x4 map on the target (``_u_map``);
+    ``spare`` is scratch. The stack is copied with the target's row and column axes in front, so
+    S is one (4, 4) @ (4, 4**(n-1) * B) product, written to rho's buffer; then it goes back."""
     hi, lo, b = 1 << (n - 1 - target), 1 << target, rho.shape[-1]
     front = spare.reshape(2, 2, hi, lo, hi, lo, b)  # row target, column target, the rest
     np.copyto(front, rho.reshape(hi, 2, lo, hi, 2, lo, b).transpose(1, 4, 0, 2, 3, 5, 6))
-    x, tmp = spare.reshape(2, 2, -1), rho.reshape(2, 2, -1)
-    # U mixes the row's target bit, then conj(U) the column's
-    for pair, m in ((x, mat), (x.swapaxes(0, 1), np.conj(mat))):
-        np.multiply(pair[0], m[1, 0], out=tmp[0])
-        np.multiply(pair[1], m[0, 1], out=tmp[1])
-        for i in (0, 1):  # each product keeps its operand order; a sum of two commutes bitwise
-            pair[i] *= m[i, i]
-            pair[i] += tmp[1 - i]
-    if p:  # a one-qubit stack with a long batch
-        _depolarize_in_place(x, 1, (0,), p, rho)
+    np.matmul(s, spare.reshape(4, -1), out=rho.reshape(4, -1))
+    np.copyto(spare, rho)  # a copy back from rho to itself would buffer a full temporary
     np.copyto(rho.reshape(hi, 2, lo, hi, 2, lo, b), front.transpose(2, 0, 3, 4, 1, 5, 6))
 
 
@@ -105,8 +113,9 @@ def run_noisy(circuit: Circuit, init: np.ndarray | None = None,
     ``run_ideal`` gives: |init><init|, traced over the qubits the circuit neither acts on nor
     measures, evolves through the gates on the live qubits left, each gate followed by a
     depolarizing channel, then is marginalized over the measured qubits and read out with
-    bit-flips. That is the full-register law up to its last bits, and bit for bit when every
-    qubit is live. It reuses the last shape's stacks, so it must not run in two threads at once."""
+    bit-flips. Each run of U gates on a qubit, up to a CX on it, is one 4x4 map (``_u_map``).
+    That is the full-register gate-by-gate law up to its last bits. It reuses the last shape's
+    stacks, so it must not run in two threads at once."""
     n = circuit.num_qubits
     if n > MAX_DENSITY_QUBITS:
         raise ValidationError(
@@ -130,12 +139,30 @@ def run_noisy(circuit: Circuit, init: np.ndarray | None = None,
         order = [0] + [n - q for q in reversed(live)] + [n - q for q in reversed(dead)]
         split = flat.reshape((b,) + (2,) * n).transpose(order).reshape(b, 1 << m, 1 << n - m)
         np.einsum("tld,tmd->lmt", split, np.conj(split), out=rho)
+    # each run of U gates on a qubit since the last CX on it is one step at its first gate (the
+    # gates between act on other qubits): the map of its product V with keep = (1 - p1)**k
+    steps, runs = [], {}  # a CX's (control, target), or a run's [target, V, keep]; runs by target
     for gate in circuit.gates:  # validated with the circuit, so unchecked here
         if isinstance(gate, UGate):
-            mat = u_matrix(gate.theta, gate.phi, gate.lam)
-            _apply_u_rho(rho, spare, m, label[gate.target], mat, noise.p1)
+            u, q = u_matrix(gate.theta, gate.phi, gate.lam).tolist(), label[gate.target]
+            if q in runs:  # V <- U V
+                run = runs[q]
+                run[1] = [[u[i][0] * run[1][0][k] + u[i][1] * run[1][1][k] for k in (0, 1)]
+                          for i in (0, 1)]
+                run[2] *= 1.0 - noise.p1
+            else:
+                runs[q] = [q, u, 1.0 - noise.p1]
+                steps.append(runs[q])
+        else:
+            steps.append((label[gate.control], label[gate.target]))
+            for q in steps[-1]:
+                runs.pop(q, None)
+    for step in steps:
+        if isinstance(step, list):
+            q, v, keep = step
+            _apply_u_rho(rho, spare, m, q, _u_map(v, keep))
         else:  # perm is a permutation, so "clip" never clips; it avoids a buffered copy
-            control, target = label[gate.control], label[gate.target]
+            control, target = step
             perm = _cx_permutation(m, control, target)
             np.take(rho, perm, axis=0, out=spare, mode="clip")
             np.take(spare, perm, axis=1, out=rho, mode="clip")

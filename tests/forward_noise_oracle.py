@@ -1,16 +1,23 @@
 """The forward density-matrix loop of ``qcens.noise.run_noisy`` as it was before the
 test batch moved to the last axis: a (..., 2**n, 2**n) stack with the batch in front.
 
-The functions are kept as they were; only the imports and ``run_noisy``'s ``live_only``
-start are new. ``_value_map`` and ``_readout_matrix`` are the read-out helpers the program
-had before ``statevector._output_map`` replaced them, so the oracle shares no read-out code
-with what it checks.
+The functions are kept as they were; only the imports, ``run_noisy``'s ``live_only`` start
+and its ``u_runs`` steps are new. ``_value_map`` and ``_readout_matrix`` are the read-out
+helpers the program had before ``statevector._output_map`` replaced them, so the oracle
+shares no read-out code with what it checks.
 
 ``run_noisy(..., live_only=True)`` starts from the partial trace of |init><init| over the
 qubits the circuit neither acts on nor measures (``live_register``), and runs the same loop
 on the qubits left, relabelled in order; without untouched qubits it is ``run_noisy``.
 ``qcens.noise.run_noisy``, which runs on the live qubits, must give its outputs bit for bit;
 it stays within rounding of the full-register ``run_noisy``.
+
+``run_noisy(..., u_runs=True)`` applies the U gates as ``qcens.noise.run_noisy`` does
+(``u_run_steps``): each run of U gates on a qubit since the last CX on it is one step at the
+run's first gate, a 4x4 map built in the same arithmetic and applied by the same batch-last
+(4, 4) @ (4, .) product (``apply_u_map``). The CX steps and their depolarizing are the loop's
+own. With both options it must give ``qcens.noise.run_noisy``'s outputs bit for bit; the plain
+loop stays the independent reference, which both stay within rounding of.
 
 ``per_call_block_indices`` and ``per_call_depolarize_in_place`` are the batch-last
 ``qcens.noise._depolarize_in_place`` as it was before ``_block_indices`` cached its block
@@ -25,7 +32,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from qcens.circuits import Circuit, UGate
+from qcens.circuits import Circuit, CXGate, UGate
 from qcens.errors import ValidationError
 from qcens.noise import MAX_DENSITY_QUBITS, ZERO_NOISE, NoiseModel
 from qcens.statevector import _cx_permutation, _initial_state, u_matrix
@@ -119,14 +126,68 @@ def live_register(circuit: Circuit, rho: np.ndarray) -> tuple[Circuit, np.ndarra
     return live_circuit, partial_trace(rho, circuit.num_qubits, live)
 
 
+def u_run_steps(circuit: Circuit, p1: float) -> list:
+    """The gates of ``circuit`` as its CX gates and ``(target, S)`` steps: the U gates on a
+    qubit since the last CX on it, which commute past the gates between, are one step at the
+    first one's place, with S the map of their product V and keep = (1 - p1)**k."""
+    steps = []  # a gate, or [target, V, keep] for a run of U gates
+    for gate in circuit.gates:
+        if isinstance(gate, CXGate):
+            steps.append(gate)
+            continue
+        u = u_matrix(gate.theta, gate.phi, gate.lam).tolist()
+        for step in reversed(steps):  # the target's open run, if no CX on it came since
+            if isinstance(step, list) and step[0] == gate.target:
+                v = step[1]
+                step[1] = [[u[i][0] * v[0][k] + u[i][1] * v[1][k] for k in (0, 1)]
+                           for i in (0, 1)]
+                step[2] = step[2] * (1.0 - p1)
+                break
+            if isinstance(step, CXGate) and gate.target in (step.control, step.target):
+                steps.append([gate.target, u, 1.0 - p1])
+                break
+        else:
+            steps.append([gate.target, u, 1.0 - p1])
+    return [(step[0], u_map(step[1], step[2])) if isinstance(step, list) else step
+            for step in steps]
+
+
+def u_map(v: list, keep: float) -> np.ndarray:
+    """S[2i + j, 2k + l] = keep * v[i][k] * conj(v[j][l]), plus (1 - keep) / 2 where i == j
+    and k == l: rho -> keep * V rho V^dagger + (1 - keep) * Tr(rho) * I/2 on one qubit."""
+    rows = []
+    for i, j in itertools.product((0, 1), repeat=2):
+        row = []
+        for k, l in itertools.product((0, 1), repeat=2):
+            entry = keep * v[i][k] * v[j][l].conjugate()
+            if i == j and k == l:
+                entry += (1.0 - keep) / 2
+            row.append(entry)
+        rows.append(row)
+    return np.array(rows)
+
+
+def apply_u_map(rho: np.ndarray, n: int, target: int, s: np.ndarray) -> None:
+    """rho <- S(rho) in place on a (..., 2**n, 2**n) stack: a copy with the target's row and
+    column bits in front and the flattened batch last, as ``qcens.noise`` holds it, through one
+    (4, 4) @ (4, .) product, written back."""
+    hi, lo = 1 << (n - 1 - target), 1 << target
+    tensor = rho.reshape((-1, hi, 2, lo, hi, 2, lo))
+    front = np.ascontiguousarray(tensor.transpose(2, 5, 1, 3, 4, 6, 0))
+    mixed = np.matmul(s, front.reshape(4, -1)).reshape(front.shape)
+    tensor[...] = mixed.transpose(6, 2, 0, 3, 4, 1, 5)
+
+
 def run_noisy(circuit: Circuit, init: np.ndarray | None = None,
-              noise: NoiseModel = ZERO_NOISE, live_only: bool = False) -> np.ndarray:
+              noise: NoiseModel = ZERO_NOISE, live_only: bool = False,
+              u_runs: bool = False) -> np.ndarray:
     """Output distribution under depolarizing gate noise and readout error.
 
     Evolves |init><init| through the gate list, applying a depolarizing
     channel after each gate, then marginalizes over the measured qubits and
     applies the readout bit-flips.  With ``live_only`` it evolves the partial
-    trace over the untouched qubits instead (``live_register``).
+    trace over the untouched qubits instead (``live_register``); with ``u_runs``
+    each run of U gates is one step (``u_run_steps``).
     """
     n = circuit.num_qubits
     if n > MAX_DENSITY_QUBITS:
@@ -142,7 +203,11 @@ def run_noisy(circuit: Circuit, init: np.ndarray | None = None,
     # temporaries per gate would make the allocator return and re-fault memory
     spare = np.empty_like(rho)
     half = np.empty(rho.size // 2, dtype=rho.dtype)
-    for gate in circuit.gates:  # validated with the circuit, so unchecked here
+    steps = u_run_steps(circuit, noise.p1) if u_runs else circuit.gates
+    for gate in steps:  # validated with the circuit, so unchecked here
+        if isinstance(gate, tuple):  # a run of U gates, (target, S)
+            apply_u_map(rho, n, *gate)
+            continue
         if isinstance(gate, UGate):
             mat = u_matrix(gate.theta, gate.phi, gate.lam)
             _apply_u_rho(rho, n, gate.target, mat, spare, half)

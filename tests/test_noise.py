@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import forward_noise_oracle
 from qcens import CXGate, Circuit, NoiseModel, UGate, ValidationError, ZERO_NOISE
 from qcens.ensemble import Ensemble, Evaluator, TestCase, _vote_batch
-from qcens.noise import _block_indices, _depolarize_in_place, _stacks, run_noisy
+from qcens.noise import _block_indices, _depolarize_in_place, _stacks, _u_map, run_noisy
 from qcens.noisefiles import (
     load_noise_file,
     load_preset,
@@ -126,6 +126,13 @@ def test_run_noisy_matches_kraus_oracle(seed, n):
                                rtol=0, atol=1e-12)
 
 
+# run_noisy on the live qubits and the full-register oracle each stay within 1e-15 of the exact
+# law of their inputs (8.7e-16 at most over 600 random circuits with untouched qubits, against
+# a dense oracle in extended precision), in either direction, so they can differ by up to twice
+# that: Hypothesis found 1.22e-15 (one live qubit of two). Applying each run of U gates as one
+# 4x4 map moves run_noisy's last bits, not this bound: 1.0e-15 at most over 8,000 random cases
+FULL_REGISTER_ATOL = 2e-15
+
 NOISE_MODELS = st.deferred(
     lambda: st.sampled_from([load_preset(name) for name in preset_names()] + [ZERO_NOISE]))
 RATES = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
@@ -167,15 +174,75 @@ def test_run_noisy_matches_forward_oracle_bit_for_bit(seed, n, batch, layout, no
     got = run_noisy(circuit, init, noise)
     # the oracle's last bits depend on the memory layout of init (its stack follows it), so it
     # sees a C-contiguous copy; run_noisy's do not. Both start from the partial trace over the
-    # qubits the circuit leaves untouched, which is |init><init| when there are none
+    # qubits the circuit leaves untouched, which is |init><init| when there are none, and apply
+    # each run of U gates on a qubit as one 4x4 map
     contiguous = None if init is None else np.ascontiguousarray(init)
-    want = forward_noise_oracle.run_noisy(circuit, contiguous, noise, live_only=True)
+    want = forward_noise_oracle.run_noisy(circuit, contiguous, noise, live_only=True, u_runs=True)
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()
-    if len(forward_noise_oracle.live_qubits(circuit)) == n:
-        assert got.tobytes() == forward_noise_oracle.run_noisy(circuit, contiguous, noise).tobytes()
+    # the plain loop, gate by gate on the full register, is the independent reference
+    np.testing.assert_allclose(got, forward_noise_oracle.run_noisy(circuit, contiguous, noise),
+                               rtol=0, atol=FULL_REGISTER_ATOL)
     if init is not None:
         assert got.tobytes() == run_noisy(circuit, np.ascontiguousarray(init), noise).tobytes()
+
+
+ANGLES = st.floats(-4 * math.pi, 4 * math.pi)
+
+
+@settings(deadline=None, max_examples=200)
+@given(theta=ANGLES, phi=ANGLES, lam=ANGLES, p=RATES, seed=st.integers(0, 2**32 - 1))
+def test_u_map_is_the_noisy_u_step_and_its_dagger_the_adjoint_step(theta, phi, lam, p, seed):
+    rng = np.random.default_rng(seed)
+    u = u_matrix(theta, phi, lam)
+    s = _u_map(u.tolist(), 1.0 - p)
+    a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+    out = (s @ rho.reshape(4)).reshape(2, 2)  # S acts on the entry (r, c) at index 2r + c
+    np.testing.assert_allclose(out, (1 - p) * u @ rho @ u.conj().T + p * np.eye(2) / 2,
+                               rtol=0, atol=1e-15)
+    # the backward step: S^dagger on an effect E, 0 <= E <= I, is its map's conjugate transpose,
+    # which is E -> (1 - p) U^dagger E U + p Tr(E) I/2, and Tr(E S(rho)) = Tr(S^dagger(E) rho)
+    b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    effect = b @ b.conj().T / np.linalg.eigvalsh(b @ b.conj().T)[-1]
+    back = (s.conj().T @ effect.reshape(4)).reshape(2, 2)
+    np.testing.assert_allclose(back, (1 - p) * u.conj().T @ effect @ u
+                               + p * np.trace(effect) * np.eye(2) / 2, rtol=0, atol=1e-15)
+    assert abs(np.trace(effect @ out) - np.trace(back @ rho)) <= 1e-15
+
+
+@settings(deadline=None, max_examples=60)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 4),
+       noise=NOISE_MODELS | st.builds(NoiseModel, RATES, RATES, RATES, RATES))
+def test_u_gates_on_a_qubit_merge_across_other_qubits_and_split_at_a_cx_on_it(seed, n, noise):
+    # U gates on q with gates on the other qubits between them are one step; the same circuit
+    # with a CX on q among those gates is two, and either way run_noisy is the oracle's
+    rng = np.random.default_rng(seed)
+    q = int(rng.integers(n))
+    others = [int(o) for o in rng.permutation(n) if o != q]
+
+    def on_q():
+        return UGate(q, *(float(a) for a in rng.uniform(0, 2 * math.pi, 3)))
+
+    def elsewhere():
+        if len(others) > 1 and rng.random() < 0.5:
+            return CXGate(*(int(o) for o in rng.choice(others, size=2, replace=False)))
+        return UGate(int(rng.choice(others)), *(float(a) for a in rng.uniform(0, 2 * math.pi, 3)))
+
+    head, tail = [on_q(), elsewhere(), on_q()], [elsewhere(), on_q(), elsewhere()]
+    cx = CXGate(q, others[0]) if rng.random() < 0.5 else CXGate(others[0], q)
+    measured = tuple(int(x) for x in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+    init = rng.normal(size=(5, 1 << n)) + 1j * rng.normal(size=(5, 1 << n))
+    init /= np.linalg.norm(init, axis=1, keepdims=True)
+    for gates, runs_on_q in ((head + tail, 1), (head + [cx] + tail, 2)):
+        circuit = Circuit(n, tuple(gates), measured)
+        steps = forward_noise_oracle.u_run_steps(circuit, noise.p1)
+        assert sum(isinstance(step, tuple) and step[0] == q for step in steps) == runs_on_q
+        got = run_noisy(circuit, init, noise)
+        want = forward_noise_oracle.run_noisy(circuit, init, noise, live_only=True, u_runs=True)
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(got, forward_noise_oracle.run_noisy(circuit, init, noise),
+                                   rtol=0, atol=FULL_REGISTER_ATOL)
 
 
 def test_run_noisy_reuses_its_stacks_unseen_from_outside():
@@ -193,8 +260,10 @@ def test_run_noisy_reuses_its_stacks_unseen_from_outside():
             init = rng.normal(size=(batch, 1 << n)) + 1j * rng.normal(size=(batch, 1 << n))
             init /= np.linalg.norm(init, axis=1, keepdims=True)
         got = run_noisy(circuit, init, noise)
-        want = forward_noise_oracle.run_noisy(circuit, init, noise, live_only=True)
+        want = forward_noise_oracle.run_noisy(circuit, init, noise, live_only=True, u_runs=True)
         assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(got, forward_noise_oracle.run_noisy(circuit, init, noise),
+                                   rtol=0, atol=FULL_REGISTER_ATOL)
         # one shape's stacks at most, and no result is a view of them
         assert _stacks.cache_info().currsize == 1
         assert not any(np.shares_memory(got, stack) for stack in _stacks(1 << n, batch or 1))
@@ -211,11 +280,6 @@ def on_qubits(circuit, qubits, n):
 
 
 ALL_MODELS = [*preset_names(), "zero"]
-# run_noisy on the live qubits and the full-register oracle each stay within 1e-15 of the exact
-# law of their inputs (8.7e-16 at most over 600 random circuits with untouched qubits, against
-# a dense oracle in extended precision), in either direction, so they can differ by up to twice
-# that: Hypothesis found 1.22e-15 (one live qubit of two)
-FULL_REGISTER_ATOL = 2e-15
 
 
 def model(name):
@@ -239,8 +303,8 @@ def test_run_noisy_on_untouched_qubits_stays_close_to_the_full_register(name, se
     got = run_noisy(circuit, init, noise)
     want = forward_noise_oracle.run_noisy(circuit, init, noise)
     assert np.abs(got - want).max() <= FULL_REGISTER_ATOL
-    assert got.tobytes() == forward_noise_oracle.run_noisy(circuit, init, noise,
-                                                           live_only=True).tobytes()
+    assert got.tobytes() == forward_noise_oracle.run_noisy(circuit, init, noise, live_only=True,
+                                                           u_runs=True).tobytes()
 
 
 def entangled_inits():
@@ -298,8 +362,10 @@ def test_calls_on_fewer_live_qubits_share_the_full_register_stacks():
         circuit = on_qubits(random_test_circuit(rng, num_qubits=m, max_gates=12),
                             [int(q) for q in rng.permutation(4)[:m]], 4)
         got = run_noisy(circuit, init, storm)
-        want = forward_noise_oracle.run_noisy(circuit, init, storm, live_only=True)
+        want = forward_noise_oracle.run_noisy(circuit, init, storm, live_only=True, u_runs=True)
         assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(got, forward_noise_oracle.run_noisy(circuit, init, storm),
+                                   rtol=0, atol=FULL_REGISTER_ATOL)
         assert _stacks.cache_info().currsize == 1 and _stacks(16, 100) is held
         assert not any(np.shares_memory(got, stack) for stack in held)
         kept.append((got, want))
@@ -331,13 +397,13 @@ def test_run_noisy_peak_memory_stays_below_the_forward_loop():
 
     for circuit in circuits:  # fill every cache but the stacks of this shape
         run_noisy(circuit, init[:50], storm)
-    # a new shape makes the stack and its scratch, on all qubits or fewer (2.13 and 2.20 when
+    # a new shape makes the stack and its scratch, on all qubits or fewer (2.13 on both when
     # measured); a buffered full-size copy, such as a CX take in mode="raise" makes, reaches 3
     for circuit in circuits[:2]:
         run_noisy(circuits[0], init[:50], storm)  # hold the other shape's stacks
         assert peak_in_stacks(circuit) <= 2.5
-    # a warmed shape reuses both (0.13 when measured on 4 and 2 qubits, 0.20 on 3, with the
-    # states' reordered copy; 2.13 when each call made its own stacks)
+    # a warmed shape reuses both (0.13 when measured on 4, 3 and 2 qubits, with the states'
+    # reordered copy; 2.13 when each call made its own stacks)
     for circuit in circuits * 2:
         assert peak_in_stacks(circuit) <= 0.5
 
