@@ -272,22 +272,19 @@ class Evaluator:
         return dists
 
     def _cone_law(self, circuit: Circuit, slot: int) -> np.ndarray:
-        """What ``circuit``'s light cone feeds slot ``slot``.  A cone smaller than the
-        circuit has its own key, under which its values are recalled or cached."""
-        cone, key = light_cone(circuit), None
-        if cone is not circuit:
-            key = cone if self.shots is None else (cone, slot)
-            dists = self._recall(key)
-            if dists is not None:
-                return dists
-        states = self._states_for(cone.num_qubits)
-        if self.noise is None:
-            dists = run_ideal(cone, states)
-        else:
-            dists = run_noisy(cone, states, self.noise)
-        if self.shots is not None:
-            dists = self._degrade_to_shots(dists, slot)
-        if key is not None:
+        """What ``circuit``'s light cone feeds slot ``slot``, recalled or cached under the
+        cone's key: the circuit's own when the cone is the circuit."""
+        cone = light_cone(circuit)
+        key = cone if self.shots is None else (cone, slot)
+        dists = self._recall(key)
+        if dists is None:
+            states = self._states_for(cone.num_qubits)
+            if self.noise is None:
+                dists = run_ideal(cone, states)
+            else:
+                dists = run_noisy(cone, states, self.noise)
+            if self.shots is not None:
+                dists = self._degrade_to_shots(dists, slot)
             self._dist_cache[key] = dists
         return dists
 

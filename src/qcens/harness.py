@@ -44,6 +44,12 @@ class ExperimentPlan:
             raise ValidationError("ensemble_sizes must be non-empty, all >= 1")
         if any(n > 1 for n in self.ensemble_sizes) and 1 not in self.ensemble_sizes:
             raise ValidationError("size 1 must be included to build homogeneous baselines")
+        for what, values in (("ensemble_sizes", self.ensemble_sizes),
+                             ("noise_names", self.noise_names)):
+            if len(set(values)) != len(values):
+                raise ValidationError(f"{what} repeats a value: {values}")
+        for name in self.noise_names:  # an unknown name fails here, before any evolution
+            load_preset(name)
 
 
 def backend_name(noise: NoiseModel | None) -> str:

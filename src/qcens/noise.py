@@ -128,17 +128,14 @@ def run_noisy(circuit: Circuit, init: np.ndarray | None = None,
     live = sorted(set(circuit.measured_qubits).union(
         *((g.target,) if isinstance(g, UGate) else (g.control, g.target) for g in circuit.gates)))
     m, label = len(live), {q: j for j, q in enumerate(live)}
-    # gates reuse a scratch stack, calls both: temporaries or per-call stacks re-fault the heap
-    rho, spare = _stacks(1 << n, b)
-    if m == n:
-        np.einsum("ti,tj->ijt", flat, np.conj(flat), out=rho)  # |init><init|, batch last
-    else:  # in a (2**m, 2**m, B) prefix of each stack, the partial trace of |init><init| over
-        # the other qubits: their bits go last in each state's index, and are summed over
-        rho, spare = (s.reshape(-1)[:b << 2 * m].reshape(1 << m, 1 << m, b) for s in (rho, spare))
-        dead = [q for q in range(n) if q not in label]
-        order = [0] + [n - q for q in reversed(live)] + [n - q for q in reversed(dead)]
-        split = flat.reshape((b,) + (2,) * n).transpose(order).reshape(b, 1 << m, 1 << n - m)
-        np.einsum("tld,tmd->lmt", split, np.conj(split), out=rho)
+    # gates reuse a scratch stack, calls both: temporaries or per-call stacks re-fault the heap.
+    # In a (2**m, 2**m, B) prefix of each, the partial trace of |init><init| over the other
+    # qubits, none when every qubit is live: their bits go last in each state's index, summed
+    rho, spare = (s.ravel()[:b << 2 * m].reshape(1 << m, 1 << m, b) for s in _stacks(1 << n, b))
+    dead = [q for q in range(n) if q not in label]
+    order = [0] + [n - q for q in reversed(live)] + [n - q for q in reversed(dead)]
+    split = flat.reshape((b,) + (2,) * n).transpose(order).reshape(b, 1 << m, 1 << n - m)
+    np.einsum("tld,tmd->lmt", split, np.conj(split), out=rho)
     # each run of U gates on a qubit since the last CX on it is one step at its first gate (the
     # gates between act on other qubits): the map of its product V with keep = (1 - p1)**k
     steps, runs = [], {}  # a CX's (control, target), or a run's [target, V, keep]; runs by target

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import re
@@ -28,26 +29,42 @@ POPULATION_FORMAT = "qcens-population-v1"
 def write_atomic(*files) -> None:
     """Write each ``(path, text)`` pair so that all of the files land or none does.
 
-    Every text goes to a temp file next to its path; only when all are written
-    are they renamed into place, and a failure removes every temp file.  Every
-    writer in the package goes through here.
+    Every text goes, as UTF-8, to a new temp file next to its path, named as no
+    existing file and no output of this call; only when all are written are they
+    renamed into place, and a failure removes every temp file.  Every writer in
+    the package goes through here.
     """
     paths = [Path(path) for path, _ in files]
-    if len({p.resolve() for p in paths}) != len(paths):
+    outputs = {p.resolve() for p in paths}
+    if len(outputs) != len(paths):
         raise ValidationError("one output file is given twice")
     for path in paths:  # renaming onto a directory fails, perhaps after other renames
         if path.is_dir():
             raise ValidationError(f"output path {path} is a directory")
-    tmps = [p.with_name(p.name + ".tmp") for p in paths]
+    tmps = []
     try:
-        for tmp, (_, text) in zip(tmps, files):
-            tmp.write_text(text)
+        for path, (_, text) in zip(paths, files):
+            tmps.append(_new_temp(path, outputs))
+            tmps[-1].write_text(text, encoding="utf-8")
         for tmp, path in zip(tmps, paths):
             tmp.replace(path)
     except BaseException:
         for tmp in tmps:
             tmp.unlink(missing_ok=True)
         raise
+
+
+def _new_temp(path: Path, outputs: set) -> Path:
+    """An empty file made next to ``path``, ``<name>.tmp`` or else ``<name>.<k>.tmp``, that
+    neither existed nor is in ``outputs``; made exclusively, with a plain write's mode."""
+    for k in itertools.count():
+        tmp = path.with_name(f"{path.name}.{k}.tmp" if k else f"{path.name}.tmp")
+        if tmp.resolve() not in outputs:
+            try:
+                tmp.touch(exist_ok=False)
+                return tmp
+            except FileExistsError:
+                pass
 
 
 def decode_file(path, parse, by_line: bool = False):
@@ -70,7 +87,7 @@ def decode_file(path, parse, by_line: bool = False):
         where = str(path)
 
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
         return parse(lines(text) if by_line else text)
     except QcensError as exc:
         raise type(exc)(f"{where}: {exc}") from None

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  The heterogeneous-vs-
 homogeneous experiment (criteria 5-7) runs the full desk-scale pipeline for
-seeds 7, 42 and 1234, which takes a few minutes.
+seeds 7, 42 and 1234 and reruns seed 1234: about 25 s on a 2-vCPU machine
+(Python 3.11.7, numpy 2.4.6), 17-20 s of it in criterion 5's fixture.
 """
 
 import math

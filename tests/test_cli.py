@@ -263,6 +263,20 @@ def test_report_refuses_one_file_for_both_outputs(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 
 
+def test_report_keeps_an_output_named_as_the_other_outputs_temp_file(tmp_path, capsys):
+    """``t.tmp`` is an output here, so ``t`` is written through another temp file."""
+    rows_path = tmp_path / "rows.csv"
+    rows_path.write_text(GOOD_ROWS)
+    assert main(["report", "--rows", str(rows_path), "--out-csv", str(tmp_path / "a.csv"),
+                 "--out-table", str(tmp_path / "a.txt")]) == 0
+    assert main(["report", "--rows", str(rows_path), "--out-csv", str(tmp_path / "t.tmp"),
+                 "--out-table", str(tmp_path / "t")]) == 0
+    assert (tmp_path / "t.tmp").read_bytes() == (tmp_path / "a.csv").read_bytes()
+    assert (tmp_path / "t").read_bytes() == (tmp_path / "a.txt").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "a.txt", "rows.csv", "t",
+                                                         "t.tmp"]
+
+
 def test_encode_dataset_single_file(tmp_path):
     out = tmp_path / "cases.jsonl"
     assert main(["encode-dataset", "--input", str(bundled_dataset_path()),

@@ -10,6 +10,10 @@ other exception.
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +209,35 @@ def test_noise_config_names_round_trip_or_are_refused(tmp_path_factory, model):
         assert not path.exists()
         return
     assert load_noise_file(path) == model
+
+
+NON_UTF8_LOCALE_ROUND_TRIP = r"""
+import locale, sys
+from pathlib import Path
+from qcens import NoiseModel
+from qcens.noisefiles import load_noise_file, write_noise_config
+
+model = NoiseModel(0.01, 0.02, 0.03, 0.04, name="bris\u00e9e")
+given, written = Path(sys.argv[1]) / "given.txt", Path(sys.argv[1]) / "written.txt"
+given.write_bytes(
+    "name = bris\u00e9e\np1 = 0.01\np2 = 0.02\n"
+    "readout_flip_0to1 = 0.03\nreadout_flip_1to0 = 0.04\n".encode("utf-8"))
+assert load_noise_file(given) == model
+write_noise_config(model, written)
+assert written.read_bytes() == given.read_bytes()
+assert load_noise_file(written) == model
+print(locale.getpreferredencoding(False))
+"""
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    """Under the C locale with no UTF-8 mode, Python's default text encoding is ASCII."""
+    env = {**os.environ, "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0",
+           "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-c", NON_UTF8_LOCALE_ROUND_TRIP, str(tmp_path)],
+                          env=env, capture_output=True, text=True, encoding="utf-8")
+    assert done.returncode == 0, done.stderr
+    assert "utf" not in done.stdout.lower().replace("-", "")  # the locale did not fall back
 
 
 @settings(deadline=None, max_examples=10)

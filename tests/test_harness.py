@@ -37,6 +37,19 @@ def test_plan_refuses_sizes_below_one(tmp_path, sizes):
         small_plan(tmp_path, ensemble_sizes=sizes)
 
 
+@pytest.mark.parametrize("kw, message", [
+    (dict(ensemble_sizes=(1, 3, 3)), r"ensemble_sizes repeats a value: \(1, 3, 3\)"),
+    (dict(noise_names=("storm", "storm")), "noise_names repeats a value"),
+    (dict(noise_names=("storm", "no-such-preset")),
+     "unknown noise preset 'no-such-preset'; available: .*storm"),
+], ids=["size", "noise-name", "unknown-preset"])
+def test_plan_refuses_what_run_experiment_would_refuse_late(tmp_path, kw, message):
+    """Refused when planned: ``run_experiment`` would evolve and write every size first."""
+    with pytest.raises(ValidationError, match=message):
+        run_experiment(small_plan(tmp_path, **kw))
+    assert not (tmp_path / "out").exists()
+
+
 def test_negative_plan_seed_is_refused_before_anything_is_written(tmp_path):
     with pytest.raises(ValidationError, match="seed must be >= 0"):
         run_experiment(small_plan(tmp_path, seed=-1))

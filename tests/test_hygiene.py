@@ -1,7 +1,8 @@
 """Static checks on the package source: every module-level import is used, every
 public module-level name is read somewhere, every private one is read in the
-package, every name exported in ``qcens.__all__`` resolves, and so does every
-name the benchmark tracer wraps."""
+package, every file is read and written with an explicit encoding, every name
+exported in ``qcens.__all__`` resolves, and so does every name the benchmark
+tracer wraps."""
 
 import ast
 import importlib
@@ -42,6 +43,32 @@ def test_unused_import_check_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+TEXT_CALLS = ("read_text", "write_text", "open")
+
+
+def calls_without_encoding(source: str) -> list[str]:
+    """``line N: name`` for each call of a ``TEXT_CALLS`` name, as a function or a method,
+    that passes no ``encoding=``: it would decode or encode in the locale's encoding."""
+    calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+    return [f"line {call.lineno}: {name}" for call in sorted(calls, key=lambda c: c.lineno)
+            if (name := getattr(call.func, "attr", getattr(call.func, "id", None))) in TEXT_CALLS
+            and not any(k.arg == "encoding" for k in call.keywords)]
+
+
+def test_encoding_check_finds_calls_without_one():
+    source = ("import io\nfrom pathlib import Path\n\n"
+              "def f(p: Path) -> str:\n    p.write_text('a', encoding='utf-8')\n"
+              "    with open(p) as handle, io.open(p, encoding='utf-8'):\n"
+              "        handle.read()\n    return p.read_text() + p.open('x').name\n")
+    assert calls_without_encoding(source) == ["line 6: open", "line 8: read_text",
+                                              "line 8: open"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_file_is_read_and_written_with_an_explicit_encoding(path):
+    assert calls_without_encoding(path.read_text()) == []
 
 
 def unread_names(defining: dict, reading: dict, private: bool = False) -> list[str]:

@@ -230,6 +230,20 @@ def test_write_atomic_writes_every_file_or_none(tmp_path, monkeypatch):
     assert not any(tmp_path.iterdir())
 
 
+def test_write_atomic_leaves_an_existing_temp_named_file_intact(tmp_path):
+    (tmp_path / "x.tmp").write_text("a user's file")
+    write_atomic((tmp_path / "x", "new"))
+    assert (tmp_path / "x").read_text() == "new"
+    assert (tmp_path / "x.tmp").read_text() == "a user's file"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x", "x.tmp"]
+
+
+def test_write_atomic_gives_its_outputs_a_plain_writes_mode(tmp_path):
+    (tmp_path / "plain").write_text("a")
+    write_atomic((tmp_path / "atomic", "a"))
+    assert (tmp_path / "atomic").stat().st_mode == (tmp_path / "plain").stat().st_mode
+
+
 def test_write_atomic_refuses_one_file_given_twice(tmp_path):
     with pytest.raises(ValidationError, match="given twice"):
         write_atomic((tmp_path / "a.txt", "a"), (tmp_path / "." / "a.txt", "b"))
