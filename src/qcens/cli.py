@@ -18,6 +18,7 @@ from .errors import QcensError
 from .evolution import evolve
 from .harness import backend_name, compare_populations
 from .iris import encode_all, load_dataset, split
+from .noise import IDEAL
 from .noisefiles import resolve_noise
 
 
@@ -71,7 +72,7 @@ def cmd_report(args) -> int:
     def render(text):
         rows = ser.result_rows_from_csv(text)
         # ideal first, then noise backends in file order
-        rows.sort(key=lambda r: (r.backend_name != "ideal",))
+        rows.sort(key=lambda r: (r.backend_name != IDEAL,))
         return ser.result_rows_to_csv(rows), ser.result_table_text(rows)
 
     # both outputs are built, and a duplicate row refused, before either is written

@@ -181,16 +181,6 @@ def random_ensemble(config: EvolutionConfig, rng: np.random.Generator) -> Ensemb
     return Ensemble(tuple(random_circuit(config, rng) for _ in range(config.ensemble_size)))
 
 
-def _tournament(fitnesses: list[float], config: EvolutionConfig,
-                rng: np.random.Generator) -> int:
-    contenders = rng.integers(len(fitnesses), size=config.tournament_size)
-    best = None
-    for i in sorted(int(c) for c in contenders):  # ties go to the lower index
-        if best is None or fitnesses[i] > fitnesses[best]:
-            best = i
-    return best
-
-
 def evolve(config: EvolutionConfig, evolution_tests,
            noise: NoiseModel | None = None, log=None) -> Population:
     """Run the generational loop and return the final evaluated population."""
@@ -203,11 +193,13 @@ def evolve(config: EvolutionConfig, evolution_tests,
     elite_count = math.ceil(config.elite_fraction * config.population_size)
     for generation in range(1, config.generations + 1):
         fitnesses = [r.fitness for r in reports]  # rounded by the Evaluator
-        order = sorted(range(len(individuals)), key=lambda i: (-fitnesses[i], i))
+        def rank(i):  # elites and tournament winners come first: the fitter, then the lower index
+            return -fitnesses[i], i
+        order = sorted(range(len(individuals)), key=rank)
         offspring = [individuals[i] for i in order[:elite_count]]
         while len(offspring) < config.population_size:
-            parent_a = individuals[_tournament(fitnesses, config, rng)]
-            parent_b = individuals[_tournament(fitnesses, config, rng)]
+            tournaments = (rng.integers(len(order), size=config.tournament_size) for _ in range(2))
+            parent_a, parent_b = (individuals[min(t.tolist(), key=rank)] for t in tournaments)
             if rng.random() < config.crossover_rate:
                 child_a, child_b = crossover(parent_a, parent_b, config, rng)
             else:

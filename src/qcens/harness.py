@@ -18,7 +18,7 @@ from .ensemble import Evaluator, replicate_homogeneous
 from .errors import StructuralError, ValidationError
 from .evolution import EvolutionConfig, Population, evolve, register_text
 from .iris import bundled_dataset_path, encode_all, load_dataset, split
-from .noise import NoiseModel
+from .noise import IDEAL, NoiseModel
 from .noisefiles import load_preset
 from .serialization import (
     ResultRow, result_rows_to_csv, result_table_text, write_atomic, write_population,
@@ -54,7 +54,7 @@ class ExperimentPlan:
 
 def backend_name(noise: NoiseModel | None) -> str:
     """The result-row backend of an evaluation: ``ideal``, or the noise model's name."""
-    return noise.name if noise is not None else "ideal"
+    return noise.name if noise is not None else IDEAL
 
 
 def compare_populations(het: Population, hom_base: Population, n: int, tests,

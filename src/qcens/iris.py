@@ -22,7 +22,7 @@ import numpy as np
 from .circuits import UGate
 from .ensemble import TestCase
 from .errors import ParseError, ValidationError
-from .serialization import decode_file
+from .serialization import decode_file, json_number
 
 NUM_FEATURES = 4
 DEFAULT_CLASS_MAP = {"setosa": 0, "versicolor": 1, "virginica": 2}
@@ -57,9 +57,9 @@ def _examples_from_lines(lines) -> list[LabeledExample]:
     for row in csv.reader(lines):
         if len(row) != NUM_FEATURES + 1:
             raise ParseError(f"expected 5 columns, got {len(row)}")
-        feats = tuple(float(v) for v in row[:NUM_FEATURES])
-        if any(not math.isfinite(f) or f <= 0 for f in feats):
-            raise ValidationError("features must be finite and positive")
+        feats = tuple(json_number(v, f"feature {j}") for j, v in enumerate(row[:NUM_FEATURES]))
+        if any(f <= 0 for f in feats):
+            raise ValidationError("features must be positive")
         label = _normalize_label(row[NUM_FEATURES])
         if label not in SPECIES:
             raise ParseError(f"unknown species {row[NUM_FEATURES]!r}")

@@ -29,6 +29,7 @@ from .errors import ValidationError
 from .statevector import _cx_permutation, _initial_state, _output_map, u_matrix
 
 MAX_DENSITY_QUBITS = 10
+IDEAL = "ideal"  # the result-row backend of a noiseless evaluation; no noise model may take it
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,8 @@ class NoiseModel:
             value = getattr(self, field)
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{field} must be in [0, 1], got {value}")
+        if self.name == IDEAL:
+            raise ValidationError(f"noise model name {IDEAL!r} is reserved for noiseless rows")
 
 
 RATE_FIELDS = tuple(f.name for f in fields(NoiseModel) if f.type == "float")

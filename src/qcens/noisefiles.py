@@ -13,7 +13,7 @@ from pathlib import Path
 
 from .errors import ParseError, ValidationError
 from .noise import RATE_FIELDS, NoiseModel
-from .serialization import decode_file, write_atomic
+from .serialization import decode_file, json_number, write_atomic
 
 
 def parse_noise_config(text: str) -> NoiseModel:
@@ -34,13 +34,8 @@ def parse_noise_config(text: str) -> NoiseModel:
     missing = [k for k in RATE_FIELDS if k not in values]
     if missing:
         raise ParseError(f"missing keys: {', '.join(missing)}")
-    floats = {}
-    for key in RATE_FIELDS:
-        try:
-            floats[key] = float(values[key])
-        except ValueError:
-            raise ParseError(f"{key} is not a number: {values[key]!r}") from None
-    return NoiseModel(name=values.get("name", ""), **floats)
+    return NoiseModel(name=values.get("name", ""),
+                      **{key: json_number(values[key], key) for key in RATE_FIELDS})
 
 
 def write_noise_config(model: NoiseModel, path) -> None:
@@ -59,19 +54,21 @@ def load_noise_file(path) -> NoiseModel:
     return decode_file(path, parse_noise_config)
 
 
+_PRESETS = resources.files("qcens.assets") / "noise"
+
+
 def preset_names() -> list[str]:
-    root = resources.files("qcens.assets") / "noise"
-    return sorted(p.name.removesuffix(".txt") for p in root.iterdir() if p.name.endswith(".txt"))
+    return sorted(p.name.removesuffix(".txt") for p in _PRESETS.iterdir()
+                  if p.name.endswith(".txt"))
 
 
 def load_preset(name: str) -> NoiseModel:
-    root = resources.files("qcens.assets") / "noise"
-    candidate = root / f"{name}.txt"
-    if not candidate.is_file():
+    """The preset named ``name``, one of ``preset_names()``; never a path to one."""
+    if name not in preset_names():
         raise ValidationError(
             f"unknown noise preset {name!r}; available: {', '.join(preset_names())}"
         )
-    return decode_file(str(candidate), parse_noise_config)
+    return decode_file(str(_PRESETS / f"{name}.txt"), parse_noise_config)
 
 
 def resolve_noise(spec: str | None) -> NoiseModel | None:

@@ -114,6 +114,15 @@ def _json_float(value, what: str) -> float:
     return float(value)
 
 
+def json_number(text: str, what: str, read=_json_float):
+    """``read`` of the JSON number that ``text`` spells, named ``what`` in errors; every number
+    in a text file is read here, so ``1_0``, ``.5`` and non-ASCII digits are refused."""
+    try:
+        return read(json.loads(text), what)
+    except json.JSONDecodeError:  # read's own ParseError passes through
+        raise ParseError(f"{what} is not a number: {text!r}") from None
+
+
 # --- gates and circuits ---
 
 def gate_to_obj(gate: Gate) -> dict:
@@ -322,7 +331,7 @@ def result_rows_to_csv(rows) -> str:
 def _number_cell(cell: str, read, what: str):
     """``read`` of the JSON number in ``cell``, which must be spelled as the
     writer spells that value (``repr``), so the file round-trips byte for byte."""
-    value = read(json.loads(cell), what)
+    value = json_number(cell, what, read)
     if repr(value) != cell:
         raise ParseError(f"{what} cell {cell!r} is not written as {value!r}: number cells "
                          "may not carry spaces or a second spelling")

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +137,28 @@ def test_evaluate_unknown_noise_name_lists_presets(tmp_path, capsys):
                  "--noise", "bogus"])
     assert code == 2
     assert "feather" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("noise, error", [
+    ("./storm", r"unknown noise preset '\./storm'; available: breeze, .*storm"),
+    ("loud.txt", r"loud\.txt: noise model name 'ideal' is reserved"),
+], ids=["preset-alias", "config-named-ideal"])
+def test_compare_refuses_a_noise_backend_its_row_would_mislabel(noise, error, tmp_path,
+                                                               monkeypatch, capsys):
+    """``./storm`` would be a second name for storm's rows; a config named ``ideal`` would
+    label its noisy rows as the noiseless backend."""
+    monkeypatch.chdir(tmp_path)
+    Path("loud.txt").write_text("name = ideal\np1 = 0.2\np2 = 0\nreadout_flip_0to1 = 0\n"
+                                "readout_flip_1to0 = 0\n")
+    het, hom = noop_population(tmp_path, n_members=3), noop_population(tmp_path, n_members=1)
+    write_test_cases([TestCase(expected=0, features=(0.0,) * 4)], "tests.jsonl")
+    assert main(["compare", "--het-population", str(het), "--hom-population", str(hom),
+                 "--ensemble-size", "3", "--tests", "tests.jsonl", "--noise", noise,
+                 "--append-to", "rows.csv"]) == 2
+    captured = capsys.readouterr()
+    assert re.search(error, captured.err)
+    assert captured.out == ""
+    assert not Path("rows.csv").exists()
 
 
 def test_evaluate_refuses_a_population_of_two_register_widths(tmp_path, capsys):
@@ -486,7 +510,7 @@ MALFORMED_FILES = [
     pytest.param("rows", GOOD_ROWS.encode() + b"\xff\n", id="rows-non-utf8"),
     pytest.param("dataset", b"5.1,3.5,1.4,0.2,Iris-setosa\n\xff\n", id="dataset-non-utf8"),
     *(pytest.param("dataset", edited_dataset(value), id=f"dataset-feature-{value}")
-      for value in ("0", "-1.5", "inf")),
+      for value in ("0", "-1.5", "inf", "5_1")),
     pytest.param("noise", GOOD_NOISE + "q = 1\n", id="noise-unknown-key"),
 ]
 

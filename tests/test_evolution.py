@@ -17,6 +17,7 @@ from qcens import (
     random_circuit,
 )
 import qcens.ensemble as ensemble
+import qcens.evolution as evolution
 from qcens.ensemble import Ensemble, Evaluator, FitnessReport, TestCase
 from qcens.evolution import Population, random_ensemble
 from qcens.iris import bundled_dataset_path, encode_all, load_dataset, split
@@ -186,6 +187,51 @@ def test_pure_elitism_returns_initial_population():
     rng = np.random.default_rng(config.seed)
     initial = [random_ensemble(config, rng) for _ in range(config.population_size)]
     assert sorted(map(repr, population.individuals)) == sorted(map(repr, initial))
+
+
+def test_a_tournament_picks_its_fittest_contender_and_the_lower_index_on_a_tie(monkeypatch):
+    """With no elites, crossover or mutation, each offspring is one tournament's winner."""
+    fitness = [0.5, 1.0, 0.0, 1.0, 0.25, 1.0, 0.0, 0.5]
+    scored, draws = [], []
+
+    class ScriptedEvaluator:  # generation 0 scores ``fitness``
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def score(self, individuals):
+            scored.append(list(individuals))
+            return [FitnessReport(f, [f]) for f in fitness]
+
+    seeded = np.random.default_rng
+
+    class RecordingGenerator:  # records the contenders each tournament draws
+        def __init__(self, seed):
+            self.rng = seeded(seed)
+
+        def __getattr__(self, name):
+            return getattr(self.rng, name)
+
+        def integers(self, *args, size=None):
+            values = self.rng.integers(*args, size=size)
+            if size is not None:
+                draws.append(values.tolist())
+            return values
+
+    monkeypatch.setattr(evolution, "Evaluator", ScriptedEvaluator)
+    monkeypatch.setattr(np.random, "default_rng", RecordingGenerator)
+    config = small_config(population_size=len(fitness), generations=1, ensemble_size=1,
+                          tournament_size=3, elite_fraction=0.0, crossover_rate=0.0,
+                          mutation_rate=0.0, seed=4)
+    evolve(config, TRIVIAL_TEST)
+    first, offspring = scored
+    assert len(draws) == len(offspring) == len(fitness)
+    tied = 0
+    for contenders, child in zip(draws, offspring):
+        best = max(fitness[i] for i in contenders)
+        fittest = sorted({i for i in contenders if fitness[i] == best})
+        assert child == first[fittest[0]]
+        tied += len(fittest) > 1
+    assert tied > 0
 
 
 def test_evolve_seed_determinism():

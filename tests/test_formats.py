@@ -128,8 +128,9 @@ def populations(draw):
 backend_names = st.text(st.characters(codec="ascii", exclude_characters="\r\n"), max_size=12)
 result_rows = st.lists(st.builds(ResultRow, backend_names, st.integers(-10**6, 10**6),
                                  finite, finite, finite, finite), min_size=1, max_size=5)
-noise_models = st.builds(NoiseModel, unit, unit, unit, unit,
-                         name=st.text("abcdefghijklmnopqrstuvwxyz0123456789_-", max_size=10))
+noise_models = st.builds(NoiseModel, unit, unit, unit, unit,  # "ideal" names the noiseless rows
+                         name=st.text("abcdefghijklmnopqrstuvwxyz0123456789_-", max_size=10)
+                         .filter(lambda name: name != "ideal"))
 
 
 def dataset_text(seed: int) -> str:
@@ -360,13 +361,14 @@ def test_edited_noise_config_files_raise_qcens_errors(path, model, data):
     write_noise_config(model, path)
     lines = path.read_text().splitlines()
     index = data.draw(st.integers(1, len(lines) - 1))  # line 0 is the optional name
-    edit = data.draw(st.sampled_from(["drop", "x", "repeat"]))
+    # float() would read the last three as 0.01, 0.5 and 0.5 (fullwidth digits)
+    edit = data.draw(st.sampled_from(["drop", "repeat", "x", "1_0e-3", ".5", "\uff10.\uff15"]))
     if edit == "drop":
         del lines[index]
-    elif edit == "x":
-        lines[index] = lines[index].partition("=")[0] + "= x"
-    else:
+    elif edit == "repeat":
         lines.insert(index, lines[data.draw(st.integers(0, len(lines) - 1))])
+    else:
+        lines[index] = lines[index].partition("=")[0] + "= " + edit
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ParseError):
         load_noise_file(path)
@@ -381,7 +383,7 @@ def test_edited_dataset_files_raise_qcens_errors(path, seed, data):
     if data.draw(st.booleans()):
         del row[column]
     else:
-        row[column] = "x"
+        row[column] = data.draw(st.sampled_from(["x", "5_1"]))  # float() reads 5_1 as 51.0
     path.write_text("".join(",".join(line) + "\n" for line in lines))
     with pytest.raises(QcensError, match=r":\d+: "):
         load_dataset(path)

@@ -42,7 +42,9 @@ def test_plan_refuses_sizes_below_one(tmp_path, sizes):
     (dict(noise_names=("storm", "storm")), "noise_names repeats a value"),
     (dict(noise_names=("storm", "no-such-preset")),
      "unknown noise preset 'no-such-preset'; available: .*storm"),
-], ids=["size", "noise-name", "unknown-preset"])
+    (dict(noise_names=("storm", "./storm")), r"unknown noise preset '\./storm'; available"),
+    (dict(noise_names=("../noise/storm",)), r"unknown noise preset '\.\./noise/storm'"),
+], ids=["size", "noise-name", "unknown-preset", "preset-alias", "preset-path"])
 def test_plan_refuses_what_run_experiment_would_refuse_late(tmp_path, kw, message):
     """Refused when planned: ``run_experiment`` would evolve and write every size first."""
     with pytest.raises(ValidationError, match=message):

@@ -1,8 +1,8 @@
 """Static checks on the package source: every module-level import is used, every
 public module-level name is read somewhere, every private one is read in the
-package, every file is read and written with an explicit encoding, every name
-exported in ``qcens.__all__`` resolves, and so does every name the benchmark
-tracer wraps."""
+package, every file is read and written with an explicit encoding, the text
+readers take numbers by the JSON rules, every name exported in ``qcens.__all__``
+resolves, and so does every name the benchmark tracer wraps."""
 
 import ast
 import importlib
@@ -69,6 +69,26 @@ def test_encoding_check_finds_calls_without_one():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_file_is_read_and_written_with_an_explicit_encoding(path):
     assert calls_without_encoding(path.read_text()) == []
+
+
+def number_conversions(source: str) -> list[str]:
+    """``line N: name`` for each call of the builtin ``float`` or ``int``, which read
+    ``1_0``, ``.5`` and non-ASCII digits as numbers where the JSON rules do not."""
+    calls = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+    return [f"line {call.lineno}: {call.func.id}" for call in sorted(calls, key=lambda c: c.lineno)
+            if isinstance(call.func, ast.Name) and call.func.id in ("float", "int")]
+
+
+def test_number_conversion_check_finds_float_and_int_calls():
+    source = ("import numpy as np\n\ndef f(text: str) -> float:\n    a = float(text)\n"
+              "    return np.float64(a) + int(text[0]) + isinstance(a, float)\n")
+    assert number_conversions(source) == ["line 4: float", "line 5: int"]
+
+
+@pytest.mark.parametrize("name", ["iris.py", "noisefiles.py"])
+def test_text_file_numbers_are_read_by_the_json_rules(name):
+    """The dataset and noise configs read each number with ``serialization.json_number``."""
+    assert number_conversions((PACKAGE / name).read_text()) == []
 
 
 def unread_names(defining: dict, reading: dict, private: bool = False) -> list[str]:

@@ -45,10 +45,12 @@ def test_load_wrong_column_count(tmp_path):
 
 
 def test_load_non_numeric_feature(tmp_path):
+    """Features are JSON numbers: float() would read the last three as 51.0, 0.5 and 3.5."""
     path = tmp_path / "bad.csv"
-    path.write_text("5.1,oops,1.4,0.2,Iris-setosa\n")
-    with pytest.raises(ParseError, match=":1"):
-        load_dataset(path)
+    for feature in ("oops", "5_1", ".5", "\uff13.5"):
+        path.write_text(f"5.1,{feature},1.4,0.2,Iris-setosa\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f":1: feature 1 is not a number: '{feature}'"):
+            load_dataset(path)
 
 
 def test_load_unknown_species(tmp_path):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -500,8 +501,24 @@ def test_preset_files_ship_ten_models():
 
 
 def test_unknown_preset_lists_available():
-    with pytest.raises(ValidationError, match="feather"):
-        load_preset("nonexistent")
+    """A preset is one of ``preset_names()``, never a path that reaches one."""
+    for name in ("nonexistent", "./storm", "../noise/storm"):
+        with pytest.raises(ValidationError, match="feather"):
+            load_preset(name)
+
+
+def test_the_ideal_backend_name_is_reserved(tmp_path):
+    """Rows evaluated under a noise model so named would read as the noiseless rows."""
+    with pytest.raises(ValidationError, match="'ideal' is reserved"):
+        NoiseModel(0.2, 0.0, 0.0, 0.0, name="ideal")
+    path = tmp_path / "loud.txt"
+    with pytest.raises(ValidationError, match="'ideal' is reserved"):
+        write_noise_config(replace(ZERO_NOISE, name="ideal"), path)
+    assert not path.exists()
+    path.write_text("name = ideal\np1 = 0.2\np2 = 0\nreadout_flip_0to1 = 0\n"
+                    "readout_flip_1to0 = 0\n")
+    with pytest.raises(ValidationError, match=f"{path}: .*'ideal' is reserved"):
+        load_noise_file(path)
 
 
 def test_noise_config_round_trip(tmp_path):

@@ -34,6 +34,15 @@ def test_circuit_round_trip():
     assert circuit_from_obj(circuit_to_obj(circuit)) == circuit
 
 
+def test_a_gate_of_no_known_type_is_refused_when_written():
+    class SwapGate:  # ``Circuit`` asks a gate only to validate itself
+        def validate(self, num_qubits):
+            pass
+
+    with pytest.raises(ValidationError, match="unknown gate type: SwapGate"):
+        circuit_to_obj(Circuit(2, (SwapGate(),), (0,)))
+
+
 def test_circuit_round_trip_preserves_full_angle_precision():
     theta = math.pi / 7 + 1e-16
     circuit = Circuit(1, (UGate(0, theta, 1 / 3, 2 / 3),), (0,))

@@ -312,6 +312,14 @@ def test_non_finite_feature_is_refused_at_evaluation():
             [Ensemble((bell_circuit(),))])
 
 
+def test_evaluator_refuses_a_second_register_width():
+    """One-qubit init gates prepare any width, so only the Evaluator's held states refuse it."""
+    evaluator = Evaluator([TestCase(expected=0, init_gates=(UGate(0, 0.3, 0.0, 0.0),))])
+    evaluator.score([Ensemble((Circuit(4, (), (0, 1)),))])
+    with pytest.raises(StructuralError, match="prepared for a different register width"):
+        evaluator.score([Ensemble((Circuit(3, (), (0, 1)),))])
+
+
 def test_evaluator_refuses_negative_seed():
     with pytest.raises(ValidationError, match="seed must be >= 0"):
         Evaluator([TestCase(expected=0, features=(0.0, 0.0))], shots=10, seed=-1)
