@@ -237,15 +237,6 @@ class Evaluator:
         self._streams: dict[int, list[dict]] = {}
         self._rng = np.random.default_rng(0)  # restarted from a stream before each draw
 
-    def _states_for(self, num_qubits: int) -> np.ndarray:
-        if self._init_states is None:
-            self._init_states = np.stack(
-                [t.init_state(num_qubits) for t in self.tests]
-            )
-        elif self._init_states.shape[-1] != 1 << num_qubits:
-            raise StructuralError("test cases were prepared for a different register width")
-        return self._init_states
-
     def score(self, ensembles) -> list[FitnessReport]:
         """Reports of ``ensembles`` in order, one generation: the values looked up
         in the previous call stay cached, older ones go.  Every ensemble is voted,
@@ -256,36 +247,34 @@ class Evaluator:
     def member_distributions(self, circuit: Circuit, slot: int = 0) -> np.ndarray:
         """What member slot ``slot`` feeds the vote for ``circuit``, shape (T, k):
         the exact per-test output distributions, or their shot estimates."""
-        key = circuit if self.shots is None else (circuit, slot)
-        dists = self._recall(key)
-        if dists is None:
-            dists = self._dist_cache[key] = self._cone_law(circuit, slot)
-        return dists
+        return self._cached(circuit, slot, self._cone_law)
 
-    def _recall(self, key) -> np.ndarray | None:
-        """The values cached under ``key`` in this call or the one before, kept for this call."""
+    def _cone_law(self, circuit: Circuit, slot: int) -> np.ndarray:
+        return self._cached(light_cone(circuit), slot, self._simulate)
+
+    def _cached(self, circuit: Circuit, slot: int, compute) -> np.ndarray:
+        """The values cached for ``circuit`` in this call or the one before, else
+        ``compute(circuit, slot)``; kept for this call."""
+        key = circuit if self.shots is None else (circuit, slot)
         dists = self._dist_cache.get(key)
         if dists is None:
             dists = self._previous.get(key)
-            if dists is not None:
-                self._dist_cache[key] = dists
+            if dists is None:
+                dists = compute(circuit, slot)
+            self._dist_cache[key] = dists
         return dists
 
-    def _cone_law(self, circuit: Circuit, slot: int) -> np.ndarray:
-        """What ``circuit``'s light cone feeds slot ``slot``, recalled or cached under the
-        cone's key: the circuit's own when the cone is the circuit."""
-        cone = light_cone(circuit)
-        key = cone if self.shots is None else (cone, slot)
-        dists = self._recall(key)
-        if dists is None:
-            states = self._states_for(cone.num_qubits)
-            if self.noise is None:
-                dists = run_ideal(cone, states)
-            else:
-                dists = run_noisy(cone, states, self.noise)
-            if self.shots is not None:
-                dists = self._degrade_to_shots(dists, slot)
-            self._dist_cache[key] = dists
+    def _simulate(self, cone: Circuit, slot: int) -> np.ndarray:
+        if self._init_states is None:
+            self._init_states = np.stack([t.init_state(cone.num_qubits) for t in self.tests])
+        elif self._init_states.shape[-1] != 1 << cone.num_qubits:
+            raise StructuralError("test cases were prepared for a different register width")
+        if self.noise is None:
+            dists = run_ideal(cone, self._init_states)
+        else:
+            dists = run_noisy(cone, self._init_states, self.noise)
+        if self.shots is not None:
+            dists = self._degrade_to_shots(dists, slot)
         return dists
 
     def ensemble_fitness(self, ensemble: Ensemble) -> FitnessReport:
