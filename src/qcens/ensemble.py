@@ -194,26 +194,18 @@ def replicate_homogeneous(circuit: Circuit, n: int) -> Ensemble:
 class Evaluator:
     """Evaluates ensemble fitness against a fixed test set.
 
-    ``score`` scores a list of ensembles, and one call is one generation.  A
-    repeated ensemble is voted again, on cached values, and gets an equal report.
-    Precomputes initialization states once and caches what each member slot
-    feeds the vote for two ``score`` calls: the values looked up in this call
-    and those of the call before.  A circuit that appears in many ensembles
-    (elites, homogeneous replicas) or survives into the next call is simulated
-    once; one absent for a whole call is simulated again.  A circuit missing from
-    the cache is simulated as its light cone (``circuits.light_cone``), whose law
-    is cached under the cone too, so circuits that differ only in gates that
-    cannot reach a measured qubit share one simulation.  A law so computed may
-    differ in its last bits from a run of every gate, and so may ``per_test``
-    from files written by earlier versions; a rounded fitness does not, unless
-    its exact mean lies on a rounding midpoint.  ``shots=None`` feeds
-    the exact member distributions (member laws), cached per circuit.
-    Otherwise each slot feeds ``shots``-sample empirical estimates of its
-    circuit's law, cached per (circuit, slot): test t of slot m is sampled
-    from the RNG stream derived from (seed, t, m), so results do not depend on
-    evaluation order.  A (circuit, slot)'s T tests are one ``sample_shots``
-    block, normalized and scaled once, each test's stream restarted from its
-    start before its draw.
+    ``score`` scores a list of ensembles, one call per generation, and votes each
+    one, so a repeat gets an equal report.  What a member slot feeds the vote is
+    looked up under its circuit in this call's cache, then in the previous call's,
+    so a circuit absent for a whole call is computed again.  On a miss the
+    circuit's light cone (``circuits.light_cone``) is looked up the same way, so
+    circuits that differ only in gates that cannot reach a measured qubit share one
+    simulation, whose law may differ in its last bits from a run of every gate.  A
+    cone missing too is simulated on the test states, prepared on first use.  With
+    ``shots=None`` a slot is fed that exact law, keyed by circuit; otherwise a
+    ``shots``-sample estimate keyed by (circuit, slot), one ``sample_shots`` block in
+    which test t restarts the RNG stream of (seed, t, slot), so results do not
+    depend on evaluation order.
     """
 
     def __init__(self, tests, noise: NoiseModel | None = None,

@@ -12,8 +12,9 @@ import csv
 import io
 import itertools
 import json
-import math
 import re
+import reprlib
+import sys
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -107,10 +108,11 @@ def _json_int(value, what: str) -> int:
 
 
 def _json_float(value, what: str) -> float:
-    """``value`` as a float if it is a finite JSON number; a string, a bool, NaN
-    or an infinity is refused."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ParseError(f"{what} must be a finite number, got {value!r}")
+    """``value`` as a float if it is a JSON number a float holds; a string, a bool,
+    NaN, an infinity or an integer beyond the float range is refused."""
+    # compares an int of any size exactly, where math.isfinite would overflow; NaN fails it
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise ParseError(f"{what} must be a finite float, got {reprlib.repr(value)}")
     return float(value)
 
 
@@ -118,9 +120,12 @@ def json_number(text: str, what: str, read=_json_float):
     """``read`` of the JSON number that ``text`` spells, named ``what`` in errors; every number
     in a text file is read here, so ``1_0``, ``.5`` and non-ASCII digits are refused."""
     try:
-        return read(json.loads(text), what)
-    except json.JSONDecodeError:  # read's own ParseError passes through
-        raise ParseError(f"{what} is not a number: {text!r}") from None
+        value = json.loads(text)
+    except json.JSONDecodeError:
+        raise ParseError(f"{what} is not a number: {reprlib.repr(text)}") from None
+    except ValueError:  # json reads integers with int(), which refuses over 4,300 digits
+        raise ParseError(f"{what} has over 4,300 digits") from None
+    return read(value, what)  # outside the try: read's ParseError is a ValueError too
 
 
 # --- gates and circuits ---
@@ -333,8 +338,8 @@ def _number_cell(cell: str, read, what: str):
     writer spells that value (``repr``), so the file round-trips byte for byte."""
     value = json_number(cell, what, read)
     if repr(value) != cell:
-        raise ParseError(f"{what} cell {cell!r} is not written as {value!r}: number cells "
-                         "may not carry spaces or a second spelling")
+        raise ParseError(f"{what} cell {reprlib.repr(cell)} is not written as {value!r}: "
+                         "number cells may not carry spaces or a second spelling")
     return value
 
 

@@ -3,8 +3,10 @@
 Valid files round-trip byte for byte.  Malformed files (arbitrary bytes, a
 required key dropped or repeated, a value swapped for one of another type, an
 integer swapped for a float or a bool, a float swapped for a numeric string, a
-bool, NaN or an infinity) make the reader raise a ``QcensError`` and never any
-other exception.
+bool, NaN, an infinity or an integer too large for a float) make the reader raise a
+``QcensError`` and never any other exception.  A number in a text format too large
+for a float, or of over 4,300 digits, is a ``ParseError`` that names its key and
+does not echo the digits.
 """
 
 import copy
@@ -25,8 +27,9 @@ from qcens.ensemble import Ensemble, FitnessReport, TestCase
 from qcens.errors import ParseError, QcensError, ValidationError
 from qcens.evolution import Population
 from qcens.iris import SPECIES, load_dataset
-from qcens.noisefiles import load_noise_file, write_noise_config
+from qcens.noisefiles import load_noise_file, parse_noise_config, write_noise_config
 from qcens.serialization import (
+    RESULT_FIELDS,
     ResultRow,
     config_to_obj,
     decode_file,
@@ -42,6 +45,8 @@ from qcens.serialization import (
     write_test_cases,
 )
 
+TOO_LARGE = "1" * 400  # an integer beyond the float range
+TOO_LONG = "1" * 5000  # over the 4,300 digits that int() reads
 PROPERTY = settings(deadline=None, max_examples=40,
                     suppress_health_check=[HealthCheck.too_slow,
                                            HealthCheck.data_too_large])
@@ -278,7 +283,7 @@ def value_paths(obj, prefix=()):
 def json_edits(obj):
     """Every edit of a JSON tree: each key dropped, each value set to null and to
     "x", each integer set to 1.5 and to true, each float set to its own digits
-    as a string, to true, to NaN and to Infinity.
+    as a string, to true, to NaN, to Infinity and to an integer too large for a float.
 
     Yields (edited tree, the dropped key's path or None).
     """
@@ -290,7 +295,7 @@ def json_edits(obj):
         if type(value) is int:
             edits += [1.5, True]
         elif type(value) is float:
-            edits += [repr(value), True, math.nan, math.inf]
+            edits += [repr(value), True, math.nan, math.inf, int(TOO_LARGE)]
         for edit in edits:
             if edit == "drop" and not isinstance(where[-1], str):
                 continue
@@ -346,13 +351,18 @@ def test_edited_population_files_raise_qcens_errors(path, population):
 def test_edited_result_row_files_raise_qcens_errors(path, rows, data):
     lines = [line.split(",") for line in result_rows_to_csv(rows).split("\n")[:-1]]
     index = data.draw(st.integers(0, len(lines) - 1))
+    named = ""
     if data.draw(st.booleans()):
         del lines[index][-1]
     else:
-        lines[index][-1] = data.draw(st.sampled_from(["x", "", "nan", "Infinity", "1_0"]))
+        lines[index][-1] = data.draw(st.sampled_from(["x", "", "nan", "Infinity", "1_0",
+                                                      TOO_LARGE, TOO_LONG]))
+        named = "effect_r" if index else ""  # line 0 is the header
     path.write_text("".join(",".join(line) + "\n" for line in lines))
-    with pytest.raises(QcensError):
+    with pytest.raises(QcensError, match=named or None) as error:
         read_rows(path)
+    if named:
+        assert "1" * 100 not in str(error.value)
 
 
 @PROPERTY
@@ -361,17 +371,22 @@ def test_edited_noise_config_files_raise_qcens_errors(path, model, data):
     write_noise_config(model, path)
     lines = path.read_text().splitlines()
     index = data.draw(st.integers(1, len(lines) - 1))  # line 0 is the optional name
-    # float() would read the last three as 0.01, 0.5 and 0.5 (fullwidth digits)
-    edit = data.draw(st.sampled_from(["drop", "repeat", "x", "1_0e-3", ".5", "\uff10.\uff15"]))
+    # float() would read the next three as 0.01, 0.5 and 0.5 (fullwidth digits)
+    edit = data.draw(st.sampled_from(["drop", "repeat", "x", "1_0e-3", ".5", "\uff10.\uff15",
+                                      TOO_LARGE, TOO_LONG]))
+    named = ""
     if edit == "drop":
         del lines[index]
     elif edit == "repeat":
         lines.insert(index, lines[data.draw(st.integers(0, len(lines) - 1))])
     else:
-        lines[index] = lines[index].partition("=")[0] + "= " + edit
+        key = lines[index].partition("=")[0]
+        lines[index] = key + "= " + edit
+        named = f": {key.strip()} "
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match=named or None) as error:
         load_noise_file(path)
+    assert "1" * 100 not in str(error.value)
 
 
 @settings(deadline=None, max_examples=20)
@@ -380,13 +395,34 @@ def test_edited_dataset_files_raise_qcens_errors(path, seed, data):
     lines = [line.split(",") for line in dataset_text(seed).splitlines()]
     row = lines[data.draw(st.integers(0, len(lines) - 1))]
     column = data.draw(st.integers(0, len(row) - 1))
+    named = ""
     if data.draw(st.booleans()):
         del row[column]
-    else:
-        row[column] = data.draw(st.sampled_from(["x", "5_1"]))  # float() reads 5_1 as 51.0
+    else:  # float() reads 5_1 as 51.0
+        row[column] = data.draw(st.sampled_from(["x", "5_1", TOO_LARGE, TOO_LONG]))
+        named = f"feature {column} " if column < len(row) - 1 else "unknown species"
     path.write_text("".join(",".join(line) + "\n" for line in lines))
-    with pytest.raises(QcensError, match=r":\d+: "):
+    with pytest.raises(QcensError, match=rf":\d+: {named}") as error:
         load_dataset(path)
+    if named.startswith("feature"):
+        assert "1" * 100 not in str(error.value)
+
+
+@pytest.mark.parametrize("digits", [TOO_LARGE, TOO_LONG], ids=["too-large", "too-long"])
+def test_numbers_a_float_cannot_hold_are_parse_errors_naming_their_key(digits):
+    header = ",".join(RESULT_FIELDS) + "\n"
+    rates = "p1 = 0\np2 = {}\nreadout_flip_0to1 = 0\nreadout_flip_1to0 = 0\n"
+    refused = "(must be a finite float|has over 4,300 digits)"
+    for number in (digits, "-" + digits):
+        with pytest.raises(ParseError, match=f"^p2 {refused}") as error:
+            parse_noise_config(rates.format(number))
+        assert "1" * 100 not in str(error.value)
+        with pytest.raises(ParseError, match=f"^p_value {refused}") as error:
+            result_rows_from_csv(header + f"ideal,5,0.8,0.7,{number},0.5\n")
+        assert "1" * 100 not in str(error.value)
+    if digits is TOO_LONG:  # a shorter integer is a valid n
+        with pytest.raises(ParseError, match="^n has over 4,300 digits"):
+            result_rows_from_csv(header + f"ideal,{digits},0.8,0.7,0.01,0.5\n")
 
 
 @pytest.mark.parametrize("reader, content", [

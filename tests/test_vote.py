@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qcens import (
     Circuit,
     Ensemble,
+    NoiseModel,
     StructuralError,
     UGate,
     ValidationError,
@@ -310,6 +311,60 @@ def test_non_finite_feature_is_refused_at_evaluation():
     with pytest.raises(StructuralError, match="3 features"):
         Evaluator([TestCase(expected=0, features=(0.0, 0.0, 0.0))]).score(
             [Ensemble((bell_circuit(),))])
+
+
+@st.composite
+def scored_generations(draw):
+    """An Evaluator's settings, its tests and generations of ensembles drawn from a
+    small pool of circuits, with repeats, each one present again with a gate added
+    outside its light cone."""
+    n = draw(st.integers(2, 4))
+    measured = tuple(draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=min(n - 1, 2),
+                                   unique=True)))
+    idle = next(q for q in range(n) if q not in measured)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        circuit = Circuit(n, random_test_circuit(rng, n, max_gates=5).gates, measured)
+        # a gate on an unmeasured qubit after all others cannot reach a measured qubit
+        outside = UGate(idle, *rng.uniform(0, 2 * math.pi, 3))
+        pool += [circuit, Circuit(n, circuit.gates + (outside,), measured)]
+    members = st.lists(st.sampled_from(pool), min_size=1, max_size=3).map(tuple)
+    generations = draw(st.lists(st.lists(members.map(Ensemble), min_size=1, max_size=3),
+                                min_size=1, max_size=3))
+    unit = st.floats(0.0, 1.0)
+    noise = draw(st.none() | st.builds(NoiseModel, unit, unit, unit, unit))
+    shots = draw(st.none() | st.sampled_from([1, 7, 100]))
+    k = 1 << len(measured)
+    tests = [TestCase(expected=int(rng.integers(k)), features=tuple(rng.uniform(0, math.pi, n)))
+             for _ in range(draw(st.integers(1, 4)))]
+    options = dict(tests=tests, noise=noise, shots=shots, seed=draw(st.integers(0, 2**16)))
+    return options, generations
+
+
+@settings(deadline=None, max_examples=60)
+@given(drawn=scored_generations())
+def test_cached_member_laws_are_laws_and_score_as_a_fresh_evaluator_does(drawn):
+    """Through the two-generation and light-cone caches: every row a slot feeds the
+    vote is a distribution (a multiple of 1/shots with shots), every fitness and
+    per-test value lies in [0, 1], and every report is the one a fresh Evaluator
+    gives that ensemble alone."""
+    options, generations = drawn
+    evaluator = Evaluator(**options)
+    for ensembles in generations:
+        reports = evaluator.score(ensembles)
+        for ensemble, report in zip(ensembles, reports):
+            assert 0.0 <= report.fitness <= 1.0
+            assert all(0.0 <= p <= 1.0 for p in report.per_test)
+            assert report == Evaluator(**options).score([ensemble])[0]
+            for slot, circuit in enumerate(ensemble.circuits):
+                rows = evaluator.member_distributions(circuit, slot)
+                assert rows.shape == (len(options["tests"]), circuit.num_output_values)
+                assert (rows >= -1e-12).all()
+                np.testing.assert_allclose(rows.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+                if options["shots"] is not None:
+                    counts = rows * options["shots"]
+                    np.testing.assert_allclose(counts, np.round(counts), rtol=0, atol=1e-9)
 
 
 def test_evaluator_refuses_a_second_register_width():
