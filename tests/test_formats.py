@@ -371,7 +371,7 @@ def test_edited_noise_config_files_raise_qcens_errors(path, model, data):
     write_noise_config(model, path)
     lines = path.read_text().splitlines()
     index = data.draw(st.integers(1, len(lines) - 1))  # line 0 is the optional name
-    # float() would read the next three as 0.01, 0.5 and 0.5 (fullwidth digits)
+    # float() would read 1_0e-3, .5 and the fullwidth digits as 0.01, 0.5 and 0.5
     edit = data.draw(st.sampled_from(["drop", "repeat", "x", "1_0e-3", ".5", "\uff10.\uff15",
                                       TOO_LARGE, TOO_LONG]))
     named = ""
@@ -420,7 +420,7 @@ def test_numbers_a_float_cannot_hold_are_parse_errors_naming_their_key(digits):
         with pytest.raises(ParseError, match=f"^p_value {refused}") as error:
             result_rows_from_csv(header + f"ideal,5,0.8,0.7,{number},0.5\n")
         assert "1" * 100 not in str(error.value)
-    if digits is TOO_LONG:  # a shorter integer is a valid n
+    if digits is TOO_LONG:  # n is an integer field, so 400 digits read as an int
         with pytest.raises(ParseError, match="^n has over 4,300 digits"):
             result_rows_from_csv(header + f"ideal,{digits},0.8,0.7,0.01,0.5\n")
 
