@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
+import reprlib
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -62,7 +63,7 @@ def _examples_from_lines(lines) -> list[LabeledExample]:
             raise ValidationError("features must be positive")
         label = _normalize_label(row[NUM_FEATURES])
         if label not in SPECIES:
-            raise ParseError(f"unknown species {row[NUM_FEATURES]!r}")
+            raise ParseError(f"unknown species {reprlib.repr(row[NUM_FEATURES])}")
         examples.append(LabeledExample(feats, label))
     if not examples:
         raise ParseError("no data rows")

@@ -254,21 +254,31 @@ def read_config(path) -> EvolutionConfig:
 
 # --- population files (JSON) ---
 
-def population_to_obj(population: Population) -> dict:
+def _ensemble_record(ensemble: Ensemble) -> list:
+    return [circuit_to_obj(c) for c in ensemble.circuits]
+
+
+def _report_record(report: FitnessReport) -> dict:
+    return {"fitness": report.fitness, "per_test": list(report.per_test)}
+
+
+def _population_fields(population: Population) -> dict:
+    """The top-level fields of a population file, its two lists as lazy ``map``s of records."""
     obj = {
         "format": POPULATION_FORMAT,
         "generation": population.generation,
-        "ensembles": [
-            [circuit_to_obj(c) for c in e.circuits] for e in population.individuals
-        ],
-        "fitnesses": [
-            {"fitness": r.fitness, "per_test": list(r.per_test)}
-            for r in population.fitnesses
-        ],
+        "ensembles": map(_ensemble_record, population.individuals),
+        "fitnesses": map(_report_record, population.fitnesses),
     }
     if population.config is not None:
         obj["config"] = config_to_obj(population.config)
     return obj
+
+
+def population_to_obj(population: Population) -> dict:
+    """The JSON tree of a population file, which ``write_population`` never builds whole."""
+    return {key: list(value) if isinstance(value, map) else value
+            for key, value in _population_fields(population).items()}
 
 
 def population_from_obj(obj: dict) -> Population:
@@ -288,7 +298,19 @@ def population_from_obj(obj: dict) -> Population:
 
 
 def write_population(population: Population, path) -> None:
-    write_atomic((path, _dumps(population_to_obj(population)) + "\n"))
+    write_atomic((path, _population_text(population)))
+
+
+def _population_text(population: Population) -> str:
+    """``_dumps(population_to_obj(population)) + "\\n"``, built one record at a time: the
+    top-level keys in sorted order, each list record encoded and dropped before the next."""
+    pieces = []
+    for key, value in sorted(_population_fields(population).items()):
+        pieces += ["," if pieces else "{", _dumps(key), ":"]
+        pieces += (["[", ",".join(map(_dumps, value)), "]"] if isinstance(value, map)
+                   else [_dumps(value)])
+    pieces.append("}\n")
+    return "".join(pieces)  # returning frees ``pieces``, so the writer holds only the text
 
 
 def read_population(path) -> Population:
@@ -307,6 +329,14 @@ class ResultRow:
     median_hom: float
     p_value: float
     effect_r: float
+
+    def __post_init__(self) -> None:
+        if self.ensemble_size < 1:
+            raise ValidationError(f"n must be >= 1, got {reprlib.repr(self.ensemble_size)}")
+        for field in RESULT_FIELDS[2:]:  # the float columns, named as the fields
+            value, low = getattr(self, field), -1 if field == "effect_r" else 0
+            if not low <= value <= 1:
+                raise ValidationError(f"{field} must be in [{low}, 1], got {value}")
 
     @property
     def cell(self) -> tuple[str, int]:
@@ -349,13 +379,13 @@ def result_rows_from_csv(text: str) -> list[ResultRow]:
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != list(RESULT_FIELDS):
-        raise ParseError(f"bad result-file header: {header!r}")
+        raise ParseError(f"bad result-file header: {reprlib.repr(header)}")
     rows = []
     for record in reader:
         if not record:
             continue
         if len(record) != len(RESULT_FIELDS):
-            raise ParseError(f"bad result row: {record!r}")
+            raise ParseError(f"bad result row: {reprlib.repr(record)}")
         name, n, *floats = record
         rows.append(ResultRow(name, _number_cell(n, _json_int, "n"),
                               *(_number_cell(cell, _json_float, field)

@@ -505,6 +505,10 @@ MALFORMED_FILES = [
     pytest.param("rows", GOOD_ROWS.replace("0.8", "0.80"), id="rows-median-trailing-zero"),
     pytest.param("rows", GOOD_ROWS.replace("0.9", "1e0"), id="rows-effect-exponent"),
     pytest.param("rows", GOOD_ROWS.replace("0.001", "1E-6"), id="rows-p-value-capital-e"),
+    *(pytest.param("rows", GOOD_ROWS.replace(good, bad), id=f"rows-{name}-out-of-range")
+      for name, good, bad in (("n--3", "ideal,3", "ideal,-3"), ("n-0", "ideal,3", "ideal,0"),
+                              ("median-het-7.5", "0.8", "7.5"), ("median-hom--2.0", "0.7", "-2.0"),
+                              ("p-value-3.0", "0.001", "3.0"), ("effect-r-9.0", "0.9", "9.0"))),
     pytest.param("population", b"\xff\xfe{", id="population-non-utf8"),
     pytest.param("tests", b"\xff\n", id="tests-non-utf8"),
     pytest.param("rows", GOOD_ROWS.encode() + b"\xff\n", id="rows-non-utf8"),

@@ -6,13 +6,15 @@ integer swapped for a float or a bool, a float swapped for a numeric string, a
 bool, NaN, an infinity or an integer too large for a float) make the reader raise a
 ``QcensError`` and never any other exception.  A number in a text format too large
 for a float, or of over 4,300 digits, is a ``ParseError`` that names its key and
-does not echo the digits.
+does not echo the digits; no message echoes a long cell whole.  Population files
+are written one record at a time, byte for byte as their JSON tree.
 """
 
 import copy
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -31,6 +33,7 @@ from qcens.noisefiles import load_noise_file, parse_noise_config, write_noise_co
 from qcens.serialization import (
     RESULT_FIELDS,
     ResultRow,
+    _dumps,
     config_to_obj,
     decode_file,
     population_to_obj,
@@ -53,6 +56,8 @@ PROPERTY = settings(deadline=None, max_examples=40,
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 unit = st.floats(0.0, 1.0)
+# the ends of [0, 1] and the smallest subnormal and a larger one, among any unit float
+scores = st.sampled_from([0.0, 1.0, 5e-324, 1e-310]) | unit
 
 
 @pytest.fixture(scope="module")
@@ -118,21 +123,21 @@ def configs(draw):
 
 
 @st.composite
-def populations(draw):
+def populations(draw, max_size=3, max_ensembles=3, per_test=unit):
     register = draw(registers())
-    size = draw(st.integers(1, 3))
+    size = draw(st.integers(1, max_size))
     individuals = draw(st.lists(
         st.lists(circuits(register), min_size=size, max_size=size).map(Ensemble),
-        min_size=1, max_size=3))
-    fitnesses = [FitnessReport(draw(unit), tuple(draw(st.lists(unit, max_size=4))))
+        min_size=1, max_size=max_ensembles))
+    fitnesses = [FitnessReport(draw(unit), tuple(draw(st.lists(per_test, max_size=4))))
                  for _ in individuals]
     return Population(tuple(individuals), tuple(fitnesses), draw(st.integers(0, 10**6)),
                       draw(st.none() | configs()))
 
 
 backend_names = st.text(st.characters(codec="ascii", exclude_characters="\r\n"), max_size=12)
-result_rows = st.lists(st.builds(ResultRow, backend_names, st.integers(-10**6, 10**6),
-                                 finite, finite, finite, finite), min_size=1, max_size=5)
+result_rows = st.lists(st.builds(ResultRow, backend_names, st.integers(1, 10**6),
+                                 unit, unit, unit, st.floats(-1.0, 1.0)), min_size=1, max_size=5)
 noise_models = st.builds(NoiseModel, unit, unit, unit, unit,  # "ideal" names the noiseless rows
                          name=st.text("abcdefghijklmnopqrstuvwxyz0123456789_-", max_size=10)
                          .filter(lambda name: name != "ideal"))
@@ -183,6 +188,14 @@ def test_population_files_round_trip(path, population):
     assert read_population(path) == population
     write_population(read_population(path), path)
     assert path.read_bytes() == text
+
+
+@PROPERTY
+@given(population=populations(max_size=7, max_ensembles=8, per_test=scores))
+def test_population_files_are_written_as_their_json_tree(path, population):
+    write_population(population, path)
+    assert path.read_bytes() == (_dumps(population_to_obj(population)) + "\n").encode()
+    assert read_population(path) == population
 
 
 @PROPERTY
@@ -425,6 +438,24 @@ def test_numbers_a_float_cannot_hold_are_parse_errors_naming_their_key(digits):
             result_rows_from_csv(header + f"ideal,{digits},0.8,0.7,0.01,0.5\n")
 
 
+# (column, a cell out of its range): each in GOOD_ROW's place of that column
+OUT_OF_RANGE_CELLS = [("n", "-3"), ("n", "0"), ("median_het", "7.5"), ("median_het", "-0.5"),
+                      ("median_hom", "-2.0"), ("median_hom", "1.5"), ("p_value", "3.0"),
+                      ("p_value", "-1e-06"), ("effect_r", "9.0"), ("effect_r", "-1.5")]
+GOOD_ROW = ["ideal", "3", "0.8", "0.7", "0.001", "0.9"]
+
+
+@pytest.mark.parametrize("column, cell", OUT_OF_RANGE_CELLS,
+                         ids=[f"{column}={cell}" for column, cell in OUT_OF_RANGE_CELLS])
+def test_result_cells_out_of_range_are_refused_naming_their_column(tmp_path, column, cell):
+    row = list(GOOD_ROW)
+    row[RESULT_FIELDS.index(column)] = cell
+    path = tmp_path / "rows.csv"
+    path.write_text(",".join(RESULT_FIELDS) + "\n" + ",".join(row) + "\n")
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {column} must be "):
+        read_rows(path)
+
+
 @pytest.mark.parametrize("reader, content", [
     pytest.param("population", '{"format": "qcens-population-v1", "generation": 1e999,'
                                ' "ensembles": [], "fitnesses": []}', id="int-of-infinity"),
@@ -432,9 +463,15 @@ def test_numbers_a_float_cannot_hold_are_parse_errors_naming_their_key(digits):
     pytest.param("dataset", "1" * 200_000 + ",1,1,1,Iris-setosa\n", id="dataset-huge-field"),
     pytest.param("result rows", "backend,n,median_het,median_hom,p_value,effect_r\n"
                  + "x" * 200_000, id="rows-huge-field"),
+    pytest.param("dataset", f"5.1,3.5,1.4,0.2,{TOO_LONG}\n", id="dataset-long-species"),
+    pytest.param("result rows", f"backend,n,{TOO_LONG}\n", id="rows-long-header"),
+    pytest.param("result rows", ",".join(RESULT_FIELDS) + f"\nideal,3,{TOO_LONG}\n",
+                 id="rows-long-row"),
 ])
 def test_overflow_deep_nesting_and_huge_fields_raise_parse_errors(tmp_path, reader, content):
+    """The message starts with the file and echoes no long field whole."""
     path = tmp_path / "file"
     path.write_text(content)
-    with pytest.raises(ParseError, match=str(path)):
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:") as error:
         READERS[reader](path)
+    assert len(str(error.value)) < 200

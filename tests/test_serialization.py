@@ -1,12 +1,15 @@
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qcens import Circuit, CXGate, EvolutionConfig, UGate, evolve
-from qcens.ensemble import TestCase
+from qcens.ensemble import FitnessReport, TestCase
+from qcens.evolution import Population, random_ensemble
 from qcens.errors import ParseError, ValidationError
 from qcens.serialization import (
     RESULT_FIELDS,
@@ -155,6 +158,27 @@ def test_population_serialization_is_byte_deterministic(tmp_path):
     for name in ("a.json", "b.json"):
         write_population(evolve(config, tests), tmp_path / name)
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+def test_writing_a_desk_size_population_peaks_under_three_times_its_file(tmp_path):
+    """A het population as the bench evolves (n=5, 60 ensembles, gate cap 12, 100 tests) is
+    written one record at a time; encoding its whole JSON tree at once peaked at 8-10x."""
+    config = EvolutionConfig(num_qubits=4, measured_qubits=(0, 1), population_size=60,
+                             ensemble_size=5, gate_cap=12, tournament_size=3)
+    rng = np.random.default_rng(28)
+    individuals = tuple(random_ensemble(config, rng) for _ in range(60))
+    reports = tuple(FitnessReport(round(float(scores.mean()), 12), scores.tolist())
+                    for scores in rng.random((60, 100)))
+    population = Population(individuals, reports, 30, config)
+    path = tmp_path / "het.json"
+    write_population(population, path)  # a first write leaves no lazy import in the trace
+    tracemalloc.start()
+    try:
+        write_population(population, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * path.stat().st_size
 
 
 def test_population_file_rejects_other_formats(tmp_path):
