@@ -34,6 +34,7 @@ def cmd_evolve(args) -> int:
         config = replace(config, shots=ser.parse_eval_mode(args.mode))
     tests = ser.read_test_cases(args.tests)
     noise = resolve_noise(args.noise)
+    ser.check_outputs(args.population)  # refused now, not after the last generation
     population = evolve(config, tests, noise=noise, log=print)
     ser.write_population(population, args.population)
     return 0
@@ -55,10 +56,11 @@ def cmd_compare(args) -> int:
     hom = ser.read_population(args.hom_population)
     tests = ser.read_test_cases(args.tests)
     noise = resolve_noise(args.noise)
-    # a malformed rows file, a directory, or a second row for one cell is refused unscored
+    # a malformed rows file, a bad path, or a second row for one cell is refused unscored
     if args.append_to:
         path = Path(args.append_to)
         rows = ser.decode_file(path, ser.result_rows_from_csv) if path.exists() else []
+        ser.check_outputs(path)
         ser.refuse_shared_cells([*(r.cell for r in rows),
                                  (backend_name(noise), args.ensemble_size)])
     row = compare_populations(het, hom, args.ensemble_size, tests, noise=noise)

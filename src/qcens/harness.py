@@ -28,13 +28,14 @@ from .stats import mann_whitney, median
 
 @dataclass(frozen=True)
 class ExperimentPlan:
-    """A full heterogeneous-vs-homogeneous comparison at one seed."""
+    """A full heterogeneous-vs-homogeneous comparison.  ``base_config.seed`` draws the split,
+    seeds every evolution and names the files; ``base_config.ensemble_size`` is set in turn
+    to each of ``ensemble_sizes``."""
 
     ensemble_sizes: tuple[int, ...] = (1, 3, 5, 7)
     base_config: EvolutionConfig = field(default_factory=EvolutionConfig)
     noise_names: tuple[str, ...] = ()  # empty = ideal evaluation only
     output_dir: str = "results"
-    seed: int = 0
     n_evolution: int = 100
 
     def __post_init__(self) -> None:
@@ -53,13 +54,17 @@ class ExperimentPlan:
 
 
 def backend_name(noise: NoiseModel | None) -> str:
-    """The result-row backend of an evaluation: ``ideal``, or the noise model's name."""
+    """The result-row backend of an evaluation: ``ideal``, or the noise model's name;
+    an unnamed model is refused, since its row would show a blank backend."""
+    if noise is not None and not noise.name:
+        raise ValidationError("a noise model without a name cannot label a result row")
     return noise.name if noise is not None else IDEAL
 
 
 def compare_populations(het: Population, hom_base: Population, n: int, tests,
                         noise: NoiseModel | None = None) -> ResultRow:
     """Heterogeneous population vs. size-1 circuits replicated to size n."""
+    backend = backend_name(noise)  # refused before anything is scored
     het_sizes = {len(e) for e in het.individuals}
     if het_sizes != {n}:
         raise ValidationError(f"heterogeneous population has sizes {het_sizes}, expected {{{n}}}")
@@ -75,7 +80,7 @@ def compare_populations(het: Population, hom_base: Population, n: int, tests,
     het_fits, hom_fits = fits[:len(het.individuals)], fits[len(het.individuals):]
     result = mann_whitney(het_fits, hom_fits)
     return ResultRow(
-        backend_name=backend_name(noise),
+        backend_name=backend,
         ensemble_size=n,
         median_het=median(het_fits),
         median_hom=median(hom_fits),
@@ -94,19 +99,19 @@ class ExperimentResult:
 
 def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
     """Evolve all sizes, compare against homogeneous baselines, write artifacts."""
+    seed = plan.base_config.seed
     dataset = load_dataset(bundled_dataset_path())
     cases = encode_all(dataset)
-    evolution_tests, evaluation_tests = split(cases, plan.n_evolution, plan.seed)
+    evolution_tests, evaluation_tests = split(cases, plan.n_evolution, seed)
 
     out_dir = Path(plan.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     populations: dict[int, Population] = {}
     for size in plan.ensemble_sizes:
-        config = replace(plan.base_config, ensemble_size=size, seed=plan.seed)
-        population = evolve(config, evolution_tests)
+        population = evolve(replace(plan.base_config, ensemble_size=size), evolution_tests)
         populations[size] = population
-        write_population(population, out_dir / f"population_n{size}_seed{plan.seed}.json")
+        out_dir.mkdir(parents=True, exist_ok=True)  # once there is a file to write
+        write_population(population, out_dir / f"population_n{size}_seed{seed}.json")
 
     noise_models = [load_preset(name) for name in plan.noise_names]
     rows: list[ResultRow] = []
@@ -118,6 +123,6 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentResult:
                 populations[size], hom_base, size, evaluation_tests, noise=noise
             ))
     if rows:
-        write_atomic((out_dir / f"results_seed{plan.seed}.csv", result_rows_to_csv(rows)),
-                     (out_dir / f"results_seed{plan.seed}.txt", result_table_text(rows)))
+        write_atomic((out_dir / f"results_seed{seed}.csv", result_rows_to_csv(rows)),
+                     (out_dir / f"results_seed{seed}.txt", result_table_text(rows)))
     return ExperimentResult(populations, rows, evolution_tests, evaluation_tests)

@@ -33,15 +33,10 @@ def write_atomic(*files) -> None:
     Every text goes, as UTF-8, to a new temp file next to its path, named as no
     existing file and no output of this call; only when all are written are they
     renamed into place, and a failure removes every temp file.  Every writer in
-    the package goes through here.
+    the package goes through here, and refuses the paths as ``check_outputs`` does.
     """
-    paths = [Path(path) for path, _ in files]
+    paths = check_outputs(*(path for path, _ in files))
     outputs = {p.resolve() for p in paths}
-    if len(outputs) != len(paths):
-        raise ValidationError("one output file is given twice")
-    for path in paths:  # renaming onto a directory fails, perhaps after other renames
-        if path.is_dir():
-            raise ValidationError(f"output path {path} is a directory")
     tmps = []
     try:
         for path, (_, text) in zip(paths, files):
@@ -53,6 +48,20 @@ def write_atomic(*files) -> None:
         for tmp in tmps:
             tmp.unlink(missing_ok=True)
         raise
+
+
+def check_outputs(*paths) -> list[Path]:
+    """``paths`` as ``Path``s, refused unless distinct files in existing directories; checked
+    before any write, as a rename onto a directory fails after other renames may land."""
+    paths = [Path(path) for path in paths]
+    if len({p.resolve() for p in paths}) != len(paths):
+        raise ValidationError("one output file is given twice")
+    for path in paths:
+        if path.is_dir():
+            raise ValidationError(f"output path {path} is a directory")
+        if not path.parent.is_dir():
+            raise ValidationError(f"output path {path} is not in an existing directory")
+    return paths
 
 
 def _new_temp(path: Path, outputs: set) -> Path:
@@ -262,25 +271,6 @@ def _report_record(report: FitnessReport) -> dict:
     return {"fitness": report.fitness, "per_test": list(report.per_test)}
 
 
-def _population_fields(population: Population) -> dict:
-    """The top-level fields of a population file, its two lists as lazy ``map``s of records."""
-    obj = {
-        "format": POPULATION_FORMAT,
-        "generation": population.generation,
-        "ensembles": map(_ensemble_record, population.individuals),
-        "fitnesses": map(_report_record, population.fitnesses),
-    }
-    if population.config is not None:
-        obj["config"] = config_to_obj(population.config)
-    return obj
-
-
-def population_to_obj(population: Population) -> dict:
-    """The JSON tree of a population file, which ``write_population`` never builds whole."""
-    return {key: list(value) if isinstance(value, map) else value
-            for key, value in _population_fields(population).items()}
-
-
 def population_from_obj(obj: dict) -> Population:
     if obj.get("format") != POPULATION_FORMAT:
         raise ParseError(f"not a population file (format={obj.get('format')!r})")
@@ -302,10 +292,18 @@ def write_population(population: Population, path) -> None:
 
 
 def _population_text(population: Population) -> str:
-    """``_dumps(population_to_obj(population)) + "\\n"``, built one record at a time: the
-    top-level keys in sorted order, each list record encoded and dropped before the next."""
+    """The population file's text, built one record at a time: the top-level keys in
+    sorted order, each list record encoded and dropped before the next."""
+    obj = {
+        "format": POPULATION_FORMAT,
+        "generation": population.generation,
+        "ensembles": map(_ensemble_record, population.individuals),
+        "fitnesses": map(_report_record, population.fitnesses),
+    }
+    if population.config is not None:
+        obj["config"] = config_to_obj(population.config)
     pieces = []
-    for key, value in sorted(_population_fields(population).items()):
+    for key, value in sorted(obj.items()):
         pieces += ["," if pieces else "{", _dumps(key), ":"]
         pieces += (["[", ",".join(map(_dumps, value)), "]"] if isinstance(value, map)
                    else [_dumps(value)])

@@ -103,7 +103,7 @@ def evolve_state(circuit: Circuit, init: np.ndarray | None) -> np.ndarray:
     return state
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # bounded: its keys hold flip rates, new with every noise model
 def _output_map(num_qubits: int, measured_qubits: tuple[int, ...], flip_0to1: float = 0.0,
                 flip_1to0: float = 0.0) -> np.ndarray:
     """(2**n, k) read-out law: row i is the law of the value basis state i reads when each

@@ -8,6 +8,7 @@ seeds 7, 42 and 1234 and reruns seed 1234: about 25 s on a 2-vCPU machine
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,8 +136,8 @@ DESK_CONFIG = EvolutionConfig(num_qubits=4, measured_qubits=(0, 1),
 
 def _plan(seed: int, out_dir: str) -> ExperimentPlan:
     sizes = (1, 5, 7) if seed == NOISE_SEED else (1, 5)
-    return ExperimentPlan(ensemble_sizes=sizes, base_config=DESK_CONFIG,
-                          output_dir=out_dir, seed=seed, n_evolution=100)
+    return ExperimentPlan(ensemble_sizes=sizes, base_config=replace(DESK_CONFIG, seed=seed),
+                          output_dir=out_dir, n_evolution=100)
 
 
 @pytest.fixture(scope="module")

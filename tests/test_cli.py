@@ -13,8 +13,8 @@ from qcens.evolution import Population
 from qcens.harness import compare_populations
 from qcens.iris import bundled_dataset_path
 from qcens.serialization import (
+    _population_text,
     config_to_obj,
-    population_to_obj,
     read_population,
     read_test_cases,
     result_rows_from_csv,
@@ -69,6 +69,21 @@ def test_evolve_missing_test_file_exits_2(trivial_setup, tmp_path, capsys):
         assert code == 2
         assert not out.exists()
         assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("population, error", [
+    ("nodir/pop.json", "output path nodir/pop.json is not in an existing directory"),
+    ("results", "output path results is a directory"),
+], ids=["missing-directory", "directory"])
+def test_evolve_checks_the_population_path_before_it_evolves(trivial_setup, tmp_path,
+                                                             monkeypatch, capsys,
+                                                             population, error):
+    config_path, tests_path = trivial_setup
+    monkeypatch.chdir(tmp_path)
+    Path("results").mkdir()
+    assert main(["evolve", "--config", str(config_path), "--tests", str(tests_path),
+                 "--population", population]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")  # no generation ran
 
 
 def test_evolve_refuses_a_negative_expected_value(trivial_setup, tmp_path, capsys):
@@ -142,14 +157,16 @@ def test_evaluate_unknown_noise_name_lists_presets(tmp_path, capsys):
 @pytest.mark.parametrize("noise, error", [
     ("./storm", r"unknown noise preset '\./storm'; available: breeze, .*storm"),
     ("loud.txt", r"loud\.txt: noise model name 'ideal' is reserved"),
-], ids=["preset-alias", "config-named-ideal"])
+    ("quiet.txt", r"^error: a noise model without a name cannot label a result row$"),
+], ids=["preset-alias", "config-named-ideal", "config-without-a-name"])
 def test_compare_refuses_a_noise_backend_its_row_would_mislabel(noise, error, tmp_path,
                                                                monkeypatch, capsys):
     """``./storm`` would be a second name for storm's rows; a config named ``ideal`` would
-    label its noisy rows as the noiseless backend."""
+    label its noisy rows as the noiseless backend, and one without a name with a blank one."""
     monkeypatch.chdir(tmp_path)
     Path("loud.txt").write_text("name = ideal\np1 = 0.2\np2 = 0\nreadout_flip_0to1 = 0\n"
                                 "readout_flip_1to0 = 0\n")
+    Path("quiet.txt").write_text(GOOD_NOISE)
     het, hom = noop_population(tmp_path, n_members=3), noop_population(tmp_path, n_members=1)
     write_test_cases([TestCase(expected=0, features=(0.0,) * 4)], "tests.jsonl")
     assert main(["compare", "--het-population", str(het), "--hom-population", str(hom),
@@ -164,8 +181,8 @@ def test_compare_refuses_a_noise_backend_its_row_would_mislabel(noise, error, tm
 def test_evaluate_refuses_a_population_of_two_register_widths(tmp_path, capsys):
     # Population refuses mixed registers, so the file is written by hand: three 4-qubit
     # ensembles, the second narrowed to 3 qubits and the third measuring other qubits
-    obj = population_to_obj(Population((Ensemble((NOOP_CIRCUIT,)),) * 3,
-                                       (FitnessReport(1.0, (1.0,)),) * 3, 0))
+    obj = json.loads(_population_text(Population((Ensemble((NOOP_CIRCUIT,)),) * 3,
+                                                 (FitnessReport(1.0, (1.0,)),) * 3, 0)))
     obj["ensembles"][1][0]["num_qubits"] = 3
     obj["ensembles"][2][0]["measured_qubits"] = [1, 0]
     pop_path = tmp_path / "mixed.json"
@@ -263,7 +280,7 @@ def test_report_writes_both_outputs_or_neither(tmp_path, capsys):
     code = main(["report", "--rows", str(rows_path), "--out-csv", str(tmp_path / "ok.csv"),
                  "--out-table", str(tmp_path / "missing" / "t.txt")])
     assert code == 2
-    assert "No such file or directory" in capsys.readouterr().err
+    assert "missing/t.txt is not in an existing directory" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["rows.csv"]
 
 
@@ -325,7 +342,7 @@ def test_encode_dataset_writes_both_splits_or_neither(tmp_path, capsys):
                  "--evolution-out", str(tmp_path / "evo.jsonl"),
                  "--evaluation-out", str(tmp_path / "missing" / "eva.jsonl")])
     assert code == 2
-    assert "No such file or directory" in capsys.readouterr().err
+    assert "missing/eva.jsonl is not in an existing directory" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
 
 
@@ -439,7 +456,7 @@ def test_encode_dataset_requires_output(capsys):
     assert excinfo.value.code == 2
 
 
-NOOP_POPULATION_OBJ = population_to_obj(Population(
+NOOP_POPULATION_TEXT = _population_text(Population(
     (Ensemble((NOOP_CIRCUIT,)),),
     (FitnessReport(1.0, (1.0,)),), 0))
 SMALL_CONFIG_OBJ = config_to_obj(EvolutionConfig(population_size=4, generations=1,
@@ -457,7 +474,7 @@ def edited_dataset(feature: str) -> str:
 
 
 def edited_population(edit) -> str:
-    obj = json.loads(json.dumps(NOOP_POPULATION_OBJ))
+    obj = json.loads(NOOP_POPULATION_TEXT)
     edit(obj)
     return json.dumps(obj)
 
@@ -523,7 +540,8 @@ MALFORMED_FILES = [
     (GOOD_ROWS, "two rows for backend 'ideal', n=3"),
     (GOOD_ROWS.replace("0.8", "0.80"), "median_het cell '0.80' is not written as 0.8"),
     (None, "Is a directory"),
-], ids=["duplicate-row", "malformed-file", "directory"])
+    ("in a missing directory", "nodir/rows.csv is not in an existing directory"),
+], ids=["duplicate-row", "malformed-file", "directory", "missing-directory"])
 def test_compare_checks_the_rows_file_before_scoring(existing, error, tmp_path, capsys,
                                                      monkeypatch):
     scored = []
@@ -540,6 +558,8 @@ def test_compare_checks_the_rows_file_before_scoring(existing, error, tmp_path, 
     rows_path = tmp_path / "rows.csv"
     if existing is None:
         rows_path.mkdir()
+    elif existing == "in a missing directory":
+        rows_path = tmp_path / "nodir" / "rows.csv"
     else:
         rows_path.write_text(existing)
     files = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}

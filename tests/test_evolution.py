@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -22,7 +21,7 @@ from qcens.ensemble import Ensemble, Evaluator, FitnessReport, TestCase
 from qcens.evolution import Population, random_ensemble
 from qcens.iris import bundled_dataset_path, encode_all, load_dataset, split
 from qcens.noisefiles import load_preset
-from qcens.serialization import population_to_obj
+from qcens.serialization import _population_text
 from qcens.statevector import run_ideal
 
 from conftest import (THREE_QUBIT_TESTS, circuits_sharing_a_light_cone, count_votes,
@@ -238,8 +237,7 @@ def test_evolve_seed_determinism():
     config = small_config(generations=5)
     a = evolve(config, TRIVIAL_TEST)
     b = evolve(config, TRIVIAL_TEST)
-    assert json.dumps(population_to_obj(a), sort_keys=True) == \
-        json.dumps(population_to_obj(b), sort_keys=True)
+    assert _population_text(a) == _population_text(b)
 
 
 def test_small_run_solves_trivial_problem():
@@ -288,7 +286,7 @@ def test_shots_mode_evolution_is_deterministic():
     config = small_config(generations=2, shots=100)
     a = evolve(config, TRIVIAL_TEST)
     b = evolve(config, TRIVIAL_TEST)
-    assert population_to_obj(a) == population_to_obj(b)
+    assert _population_text(a) == _population_text(b)
 
 
 def test_population_does_not_depend_on_vote_summation_order(monkeypatch):
@@ -321,8 +319,8 @@ def test_two_generation_cache_evolves_the_uncached_population(monkeypatch, noise
                           seed=self.seed).ensemble_fitness(e) for e in ensembles]
 
     monkeypatch.setattr(Evaluator, "score", score_uncached)
-    assert population_to_obj(evolve(config, IRIS_TESTS, noise=model)) == \
-        population_to_obj(cached)
+    assert _population_text(evolve(config, IRIS_TESTS, noise=model)) == \
+        _population_text(cached)
 
 
 def count_simulations(monkeypatch) -> list:

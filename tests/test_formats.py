@@ -34,9 +34,9 @@ from qcens.serialization import (
     RESULT_FIELDS,
     ResultRow,
     _dumps,
+    _population_text,
     config_to_obj,
     decode_file,
-    population_to_obj,
     read_config,
     read_population,
     read_test_cases,
@@ -194,7 +194,8 @@ def test_population_files_round_trip(path, population):
 @given(population=populations(max_size=7, max_ensembles=8, per_test=scores))
 def test_population_files_are_written_as_their_json_tree(path, population):
     write_population(population, path)
-    assert path.read_bytes() == (_dumps(population_to_obj(population)) + "\n").encode()
+    text = path.read_text(encoding="utf-8")
+    assert text == _dumps(json.loads(text)) + "\n"
     assert read_population(path) == population
 
 
@@ -350,7 +351,7 @@ def test_edited_config_files_raise_qcens_errors(path, config):
 @EDITS
 @given(population=populations())
 def test_edited_population_files_raise_qcens_errors(path, population):
-    for obj, dropped in json_edits(population_to_obj(population)):
+    for obj, dropped in json_edits(json.loads(_population_text(population))):
         path.write_text(json.dumps(obj))
         if dropped and dropped[0] == "config":  # the config and its fields are optional
             reads_or_raises_qcens_error(read_population, path)

@@ -5,7 +5,7 @@ import pytest
 
 import qcens.ensemble as ensemble
 import qcens.harness as harness
-from qcens import EvolutionConfig, ValidationError, evolve
+from qcens import EvolutionConfig, NoiseModel, StructuralError, ValidationError, evolve
 from qcens.harness import ExperimentPlan, compare_populations, run_experiment
 from qcens.iris import bundled_dataset_path, encode_all, load_dataset, split
 from qcens.serialization import read_population, result_rows_from_csv
@@ -15,12 +15,12 @@ from conftest import load_perfbench
 oracle = load_perfbench("oracle")
 
 
-def small_plan(tmp_path, **kw):
-    config = EvolutionConfig(num_qubits=4, measured_qubits=(0, 1), population_size=8,
-                             generations=3, ensemble_size=1, gate_cap=5,
-                             tournament_size=3)
+def small_plan(tmp_path, seed=5, num_qubits=4, measured_qubits=(0, 1), **kw):
+    config = EvolutionConfig(num_qubits=num_qubits, measured_qubits=measured_qubits,
+                             population_size=8, generations=3, ensemble_size=1, gate_cap=5,
+                             tournament_size=3, seed=seed)
     defaults = dict(ensemble_sizes=(1, 3), base_config=config,
-                    output_dir=str(tmp_path / "out"), seed=5, n_evolution=100)
+                    output_dir=str(tmp_path / "out"), n_evolution=100)
     defaults.update(kw)
     return ExperimentPlan(**defaults)
 
@@ -58,6 +58,17 @@ def test_negative_plan_seed_is_refused_before_anything_is_written(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kw, error, message", [
+    (dict(num_qubits=3), StructuralError, "U target 3 out of range"),
+    (dict(measured_qubits=(0,)), ValidationError, r"test \d+ expects value 2"),
+], ids=["register-too-narrow", "too-few-measured-qubits"])
+def test_a_plan_failing_in_its_first_evolution_leaves_no_output_dir(tmp_path, kw, error,
+                                                                   message):
+    with pytest.raises(error, match=message):
+        run_experiment(small_plan(tmp_path, **kw))
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_experiment_writes_artifacts(tmp_path):
     plan = small_plan(tmp_path)
     result = run_experiment(plan)
@@ -71,6 +82,10 @@ def test_run_experiment_writes_artifacts(tmp_path):
     assert rows[0].backend_name == "ideal"
     assert len(result.evolution_tests) == 100
     assert len(result.evaluation_tests) == 50
+    # base_config.seed draws the split and seeds every evolution, as it names the files
+    cases = encode_all(load_dataset(bundled_dataset_path()))
+    assert (result.evolution_tests, result.evaluation_tests) == split(cases, 100, 5)
+    assert {p.config.seed for p in result.populations.values()} == {5}
     pop = read_population(out / "population_n3_seed5.json")
     assert all(len(e) == 3 for e in pop.individuals)
 
@@ -157,6 +172,14 @@ def test_compare_rejects_wrong_baseline_sizes(tmp_path):
         compare_populations(pops[3], pops[3], 3, result.evaluation_tests)
     with pytest.raises(ValidationError):
         compare_populations(pops[3], pops[1], 5, result.evaluation_tests)
+
+
+def test_compare_refuses_an_unnamed_noise_model_before_scoring(tmp_path, monkeypatch):
+    result = run_experiment(small_plan(tmp_path))
+    monkeypatch.setattr(ensemble.Evaluator, "score", None)  # scoring would raise TypeError
+    with pytest.raises(ValidationError, match="noise model without a name"):
+        compare_populations(result.populations[3], result.populations[1], 3,
+                            result.evaluation_tests, noise=NoiseModel(0.01, 0.0, 0.0, 0.0))
 
 
 def test_compare_complete_separation_gives_r_plus_one(tmp_path):

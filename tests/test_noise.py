@@ -483,6 +483,18 @@ def test_output_map_is_the_value_map_times_the_readout_law(data, n, f01, f10):
         got[0, 0] = 0.5
 
 
+def test_output_map_cache_stays_bounded_and_gives_the_law_a_cleared_cache_gives(rng):
+    """Every noise model adds keys of its own flip rates, so the cache must be bounded."""
+    circuit = random_test_circuit(rng, 3)
+    models = [NoiseModel(0.01, 0.02, *rng.uniform(0, 0.5, size=2)) for _ in range(200)]
+    laws = [run_noisy(circuit, noise=model) for model in models]
+    info = _output_map.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
+    _output_map.cache_clear()
+    for model, law in zip(models, laws):
+        assert run_noisy(circuit, noise=model).tobytes() == law.tobytes()
+
+
 def test_run_noisy_register_cap():
     with pytest.raises(ValidationError):
         run_noisy(Circuit(11, (), (0,)))
